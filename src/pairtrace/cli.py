@@ -77,7 +77,7 @@ def material_gdd(name, thickness_mm, wavelength_nm, temperature_c, out_dir):
 @click.option("--material", "name", default="mgln_e", show_default=True)
 @click.option("--length-mm", type=float, default=5.0, show_default=True)
 @click.option("--bracket-um", nargs=2, type=float, default=(3.0, 40.0),
-              show_default=True, help="Poling-period search bracket.")
+              show_default=True, help="Window of accepted poling periods.")
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 @_trap_errors
 def qpm_solve(pump_nm, temperature_c, name, length_mm, bracket_um, out_dir):

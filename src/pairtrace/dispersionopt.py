@@ -173,13 +173,26 @@ def with_knob(chain, knob, value):
 
 
 def knob_objective(amplitude, base_chain, knob):
-    """R(0) as a function of the knob value, phases applied to a fixed kernel."""
+    """R(0) as a function of the knob value, phases applied to a fixed kernel.
+
+    The chain phase is affine in either knob, phi0 + value * direction: the
+    correction adds value (w - w0)^2 / 2, and the glass phase is linear in
+    the insertion. So the chain is evaluated once per objective (twice for
+    the insertion direction) and each call only applies the phase.
+    """
     grid = amplitude.omega_grid
     center = amplitude.pump_omega / 2.0
+    if knob == KNOB_CORRECTION:
+        phi0 = base_chain.phase(grid, center)
+        direction = (grid - center) ** 2 / 2.0
+    else:
+        phi0 = with_knob(base_chain, knob, 0.0).phase(grid, center)
+        direction = with_knob(base_chain, knob, 1.0).phase(grid, center) - phi0
 
     def objective(value):
-        chain = with_knob(base_chain, knob, value)
-        phi = chain.phase(grid, center)
+        if knob == KNOB_INSERTION and value < 0:
+            raise ValidationError("insertion must be >= 0")
+        phi = phi0 + value * direction
         return rate_at_zero_delay(apply_spectral_phase(amplitude, phi, phi))
 
     return objective
@@ -198,6 +211,8 @@ def optimize_dispersion(amplitude, base_chain, knob, bracket, scan_points=41):
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValidationError("empty optimization bracket")
+    if knob == KNOB_INSERTION and lo < 0:
+        raise ValidationError(f"insertion bracket must start at >= 0 mm, got {lo:g}")
     objective = knob_objective(amplitude, base_chain, knob)
     tol = KNOB_TOLERANCES[knob] if knob in KNOB_TOLERANCES else (hi - lo) * 1e-4
 
@@ -249,32 +264,29 @@ def certify_local_maximum(amplitude, base_chain, result, factor=5.0):
     )
 
 
-def solve_compensating_insertion(amplitude_grid, center_omega, base_chain,
-                                 bracket_mm=(0.0, 20.0)):
+def solve_compensating_insertion(amplitude_grid, center_omega, base_chain):
     """Insertion [mm per prism] that zeroes the chain curvature at center.
 
-    Bisection on the monotone map insertion -> chain GDD; used to seed the
-    default scenario with a roughly compensated compressor.
+    The glass phase is linear in thickness, so the chain GDD is affine in
+    the insertion and two chain evaluations give its root in closed form.
+    Used to seed the default scenario with a roughly compensated compressor.
     """
     def gdd(value):
         chain = with_knob(base_chain, KNOB_INSERTION, value)
         return chain_gdd_fs2(chain, amplitude_grid, center_omega)
 
-    lo, hi = bracket_mm
-    glo, ghi = gdd(lo), gdd(hi)
-    if glo * ghi > 0:
+    g0, g1 = gdd(0.0), gdd(1.0)
+    if not g1 > g0:
         raise ValidationError(
-            f"insertion bracket does not straddle zero curvature: "
-            f"gdd({lo}) = {glo:.1f}, gdd({hi}) = {ghi:.1f} fs^2"
+            f"insertion does not raise the chain curvature: "
+            f"gdd(0) = {g0:.1f}, gdd(1) = {g1:.1f} fs^2"
         )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        gm = gdd(mid)
-        if np.sign(gm) == np.sign(glo):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    value = -g0 / (g1 - g0)
+    if value < 0:
+        raise ValidationError(
+            f"chain curvature is positive with no insertion: gdd(0) = {g0:.1f} fs^2"
+        )
+    return value
 
 
 def optimization_report_lines(result):

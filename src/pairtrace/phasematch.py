@@ -2,10 +2,10 @@
 
 Longitudinal wavevectors inside the poled crystal, the axial mismatch
 delta_kz = k_pz - k_sz - k_iz - k_g, the complex phasematching factor
-sinc(beta) exp(-i beta), and bracketed solvers for the poling period and
-the degenerate axial phasematching temperature. Transverse wavevector
-components are conserved across the crystal face, so external angles map
-to k_perp through the vacuum dispersion alone.
+sinc(beta) exp(-i beta), the closed-form poling period and a bracketed
+solver for the degenerate axial phasematching temperature. Transverse
+wavevector components are conserved across the crystal face, so external
+angles map to k_perp through the vacuum dispersion alone.
 """
 
 from __future__ import annotations
@@ -134,19 +134,27 @@ def _bisect(f, lo, hi, what):
 
 
 def solve_poling_period(material, pump_omega, temperature_C, bracket_um=POLING_BRACKET_UM):
-    """Poling period [um] for degenerate axial phasematching at temperature."""
+    """Poling period [um] for degenerate axial phasematching at temperature.
 
-    def mismatch(period_um):
-        spec = CrystalSpec(material, 1.0, period_um, temperature_C)
-        return delta_kz(pump_omega / 2.0, 0.0, spec, pump_omega)
-
-    period = _bisect(mismatch, bracket_um[0], bracket_um[1], "poling period")
-    residual = mismatch(period)
-    if abs(residual) > SOLVER_TOL_RAD_UM:
-        raise SolverError(
-            f"poling-period refinement stalled with residual {residual:.3e} rad/um"
+    The mismatch is affine in the grating wavenumber, k_p - 2 k_s - 2 pi / L,
+    so the period is 2 pi over the mismatch of an unpoled crystal. The
+    bracket is the window of accepted periods.
+    """
+    lo, hi = bracket_um
+    if not 0 < lo < hi:
+        raise ValidationError(
+            f"poling-period window must satisfy 0 < lo < hi, got ({lo:g}, {hi:g})"
         )
-    return float(period)
+    unpoled = CrystalSpec(material, 1.0, np.inf, temperature_C)   # grating_k = 0
+    free_mismatch = delta_kz(pump_omega / 2.0, 0.0, unpoled, pump_omega)
+    if not (free_mismatch > 0 and lo <= 2.0 * np.pi / free_mismatch <= hi):
+        flo = free_mismatch - 2.0 * np.pi / lo
+        fhi = free_mismatch - 2.0 * np.pi / hi
+        raise SolverError(
+            f"no sign change bracketing poling period: f({lo:g}) = {flo:.6e}, "
+            f"f({hi:g}) = {fhi:.6e}"
+        )
+    return float(2.0 * np.pi / free_mismatch)
 
 
 def solve_phasematch_temperature(crystal, pump_omega, bracket_C=TEMPERATURE_BRACKET_C):

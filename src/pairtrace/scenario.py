@@ -581,7 +581,8 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
     scenario = load_scenario("fig3a")
     built = build_system(scenario, grid_scale)
     registry = built.registry
-    kernel_s = spdc.kernel_amplitude(built.config)
+    radial_levels = {}
+    kernel_s = spdc.kernel_amplitude(built.config, radial_levels)
     grid = kernel_s.omega_grid
     center = built.config.pump_omega / 2.0
 
@@ -673,7 +674,7 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
             fh.write("all ladder checks passed\n")
 
     if refine_check:
-        report = spdc.quadrature_refine(built.config)
+        report = spdc.quadrature_refine(built.config, radial_levels=radial_levels)
         with open(out / "convergence.txt", "w", encoding="utf-8") as fh:
             fh.write("shared kernel for all ladder cases\n")
             fh.write("\n".join(report.lines()) + "\n")

@@ -172,16 +172,21 @@ def _relative_change(coarse, fine):
     return float(np.max(np.abs(fine.values - coarse.values)) / scale)
 
 
-def kernel_amplitude(config):
+def kernel_amplitude(config, radial_levels=None):
     """S(w_s) for zero added spectral phase, radially converged.
 
     Computes the integral at the configured radial order and at twice that
     order; raises ConvergenceError (carrying the finer estimate) if they
     disagree by more than 0.1% of the peak. Also enforces that the grid is
-    wide enough for the spectrum to decay at the edges.
+    wide enough for the spectrum to decay at the edges. When a dict is
+    given as radial_levels, both evaluations are stored in it by radial
+    order, for quadrature_refine to reuse.
     """
     coarse = _bare_amplitude(config, config.grid.radial_points)
     fine = _bare_amplitude(config, 2 * config.grid.radial_points)
+    if radial_levels is not None:
+        radial_levels[config.grid.radial_points] = coarse
+        radial_levels[2 * config.grid.radial_points] = fine
     change = _relative_change(coarse, fine)
     if change > QUADRATURE_RTOL:
         raise ConvergenceError(
@@ -257,29 +262,36 @@ class ConvergenceReport:
         return out
 
 
-def quadrature_refine(config, levels=2):
+def quadrature_refine(config, levels=2, radial_levels=None):
     """Refinement ladder: double radial and frequency sampling independently.
 
     Report-only; each entry is (points_before, max relative change against
-    the doubled evaluation, measured against the finer peak).
+    the doubled evaluation, measured against the finer peak). radial_levels
+    maps radial orders to evaluations on the configured frequency grid that
+    are already computed, as kernel_amplitude stores them; each missing
+    level is computed once.
     """
     if levels < 2:
         raise ValidationError("levels must be >= 2")
+    known = dict(radial_levels or {})
+
+    def radial(pts):
+        if pts not in known:
+            known[pts] = _bare_amplitude(config, pts)
+        return known[pts]
+
     radial_steps = []
     pts = config.grid.radial_points
-    prev = _bare_amplitude(config, pts)
     for _ in range(levels - 1):
-        fine = _bare_amplitude(config, 2 * pts)
-        radial_steps.append((pts, _relative_change(prev, fine)))
+        radial_steps.append((pts, _relative_change(radial(pts), radial(2 * pts))))
         pts *= 2
-        prev = fine
 
     # frequency samples are computed independently, so refining the grid
     # cannot move existing values; resolution is judged by how well the
     # coarse sampling interpolates the newly exposed midpoints
     omega_steps = []
     n = config.grid.omega_points
-    prev = _bare_amplitude(config, config.grid.radial_points)
+    prev = radial(config.grid.radial_points)
     for _ in range(levels - 1):
         n_fine = 2 * n - 1  # half spacing, same span: old samples are a subset
         cfg = replace(config, grid=replace(config.grid, omega_points=n_fine))

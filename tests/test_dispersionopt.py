@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairtrace import ValidationError, get_material
+from pairtrace import ValidationError, dispersionopt, get_material
 from pairtrace.delayscan import rate_at_zero_delay
 from pairtrace.dispersionopt import (
     KNOB_CORRECTION,
@@ -15,10 +15,11 @@ from pairtrace.dispersionopt import (
     chain_phase,
     knob_objective,
     optimize_dispersion,
+    solve_compensating_insertion,
     with_knob,
 )
 from pairtrace.materials import spectral_phase_of_slab, taylor_dispersion
-from pairtrace.spdc import GridSpec, SpectralAmplitude
+from pairtrace.spdc import GridSpec, SpectralAmplitude, apply_spectral_phase
 
 from conftest import PUMP_OMEGA
 
@@ -112,6 +113,37 @@ def test_solve_compensating_insertion_zeroes_curvature(base_chain, default_kerne
     assert abs(gdd) < 1e-4
 
 
+@pytest.mark.parametrize("apex_mm", [250.0, 325.0, 400.0, 450.0])
+@pytest.mark.parametrize("window", ["sf14", "sf10", "fused_silica"])
+def test_closed_form_insertion_zeroes_curvature(apex_mm, window):
+    # the chain GDD is affine in the insertion, so the closed-form root
+    # must zero it for any compressor and any glass in the chain
+    ln = get_material("mgln_e")
+    chain = ElementChain((Slab(ln, 2.5), PrismCompressor(get_material("sf14"), apex_mm, 0.0),
+                          Slab(get_material(window), 5.0), Slab(ln, 2.5)))
+    grid = omega_grid()
+    insertion = solve_compensating_insertion(grid, CENTER, chain)
+    assert insertion > 0
+    gdd = chain_gdd_fs2(with_knob(chain, KNOB_INSERTION, insertion), grid, CENTER)
+    assert abs(gdd) < 1e-4
+
+
+def test_insertion_without_curvature_slope_rejected(monkeypatch):
+    monkeypatch.setattr(dispersionopt, "chain_gdd_fs2", lambda chain, grid, center: -100.0)
+    chain = ElementChain((PrismCompressor(get_material("sf14"), 352.0, 0.0),))
+    with pytest.raises(ValidationError, match="does not raise the chain curvature"):
+        solve_compensating_insertion(omega_grid(), CENTER, chain)
+
+
+def test_insertion_with_negative_root_rejected():
+    # no angular dispersion to cancel: the slab's curvature would need
+    # negative glass
+    chain = ElementChain((Slab(get_material("sf10"), 10.0),
+                          PrismCompressor(get_material("sf14"), 0.0, 0.0)))
+    with pytest.raises(ValidationError, match="positive with no insertion"):
+        solve_compensating_insertion(omega_grid(), CENTER, chain)
+
+
 # ---------------------------------------------------------------- optimizer
 
 def test_pure_quadratic_cancellation():
@@ -154,6 +186,61 @@ def test_objective_decreases_away_from_optimum(default_kernel, base_chain, optim
     r_opt = objective(result.optimal_value)
     for delta in (-40.0, -10.0, 10.0, 40.0):
         assert objective(result.optimal_value + delta) < r_opt
+
+
+def test_affine_objective_matches_full_chain(default_kernel, base_chain):
+    grid = default_kernel.omega_grid
+
+    def full_chain_rate(knob, value):
+        phi = with_knob(base_chain, knob, value).phase(grid, CENTER)
+        return rate_at_zero_delay(apply_spectral_phase(default_kernel, phi, phi)), phi
+
+    objective = knob_objective(default_kernel, base_chain, KNOB_CORRECTION)
+    for value in np.linspace(-150.0, 150.0, 5):
+        assert objective(value) == full_chain_rate(KNOB_CORRECTION, value)[0]
+
+    # phi0 + x dphi and the directly evaluated glass phase round differently:
+    # each sample's phase may move by a few ulps of |phi|, which bounds the
+    # change of |sum S exp(i phi) dw|^2 by twice the transform limit times it
+    limit = (np.sum(np.abs(default_kernel.values)) * default_kernel.domega) ** 2
+    objective = knob_objective(default_kernel, base_chain, KNOB_INSERTION)
+    for value in np.linspace(0.0, 15.0, 5):
+        rate, phi = full_chain_rate(KNOB_INSERTION, value)
+        phase_error = 8.0 * np.finfo(float).eps * np.max(np.abs(phi))
+        assert abs(objective(value) - rate) <= 2.0 * limit * phase_error
+
+
+@pytest.fixture
+def chain_evaluations(monkeypatch):
+    calls = []
+    phase = ElementChain.phase
+
+    def counted(self, omega_grid, center_omega):
+        calls.append(self)
+        return phase(self, omega_grid, center_omega)
+
+    monkeypatch.setattr(ElementChain, "phase", counted)
+    return calls
+
+
+def test_chain_evaluated_a_fixed_number_of_times(default_kernel, base_chain,
+                                                 chain_evaluations):
+    seed = [e for e in base_chain.elements if isinstance(e, PrismCompressor)][0]
+    for knob, bracket in ((KNOB_CORRECTION, (-200.0, 200.0)),
+                          (KNOB_INSERTION, (seed.insertion_mm - 0.7, seed.insertion_mm + 0.7))):
+        chain_evaluations.clear()
+        optimize_dispersion(default_kernel, base_chain, knob, bracket, scan_points=15)
+        assert len(chain_evaluations) <= 3
+    chain_evaluations.clear()
+    solve_compensating_insertion(default_kernel.omega_grid, CENTER, base_chain)
+    assert len(chain_evaluations) == 2
+
+
+def test_negative_insertion_bracket_rejected_before_scanning(chain_evaluations):
+    chain = ElementChain((PrismCompressor(get_material("sf14"), 352.0, 5.0),))
+    with pytest.raises(ValidationError, match="insertion bracket"):
+        optimize_dispersion(gaussian_amplitude(), chain, KNOB_INSERTION, (-1.0, 5.0))
+    assert chain_evaluations == []
 
 
 def test_insertion_knob_requires_single_compressor():

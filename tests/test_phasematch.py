@@ -173,6 +173,12 @@ def test_poling_period_no_bracket_reports_ends():
     assert "f(20" in msg and "f(40" in msg
 
 
+@pytest.mark.parametrize("window", [(0.0, 5.0), (-1.0, 40.0), (40.0, 3.0)])
+def test_poling_period_invalid_window_rejected(window):
+    with pytest.raises(ValidationError):
+        solve_poling_period(get_material("mgln_e"), PUMP_OMEGA, 50.0, bracket_um=window)
+
+
 def test_temperature_round_trip():
     m = get_material("mgln_e")
     period = solve_poling_period(m, PUMP_OMEGA, 50.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pairtrace import ConvergenceError, ValidationError, get_material
+from pairtrace import ConvergenceError, ValidationError, get_material, spdc
 from pairtrace.phasematch import CrystalSpec, delta_kz
 from pairtrace.spdc import (
     GridSpec,
@@ -157,6 +157,24 @@ def test_refinement_ladder_on_default_resolution(default_config):
     assert report.passed
     assert report.radial_steps[-1][1] < 1e-3
     assert report.omega_steps[-1][1] < 1e-3
+
+
+def test_refinement_reuses_levels_the_kernel_computed(poling_period, monkeypatch):
+    cfg = small_config(poling_period)
+    levels = {}
+    kernel_amplitude(cfg, levels)
+    assert sorted(levels) == [64, 128]
+    expected = quadrature_refine(cfg, levels=3).lines()
+    orders = []
+
+    def counted(config, radial_points):
+        orders.append((config.grid.omega_points, radial_points))
+        return _bare_amplitude(config, radial_points)
+
+    monkeypatch.setattr(spdc, "_bare_amplitude", counted)
+    assert quadrature_refine(cfg, levels=3, radial_levels=levels).lines() == expected
+    # only the 256-point radial level and the two frequency refinements are new
+    assert orders == [(256, 256), (511, 64), (1021, 64)]
 
 
 def test_refinement_rejects_single_level(default_config):
