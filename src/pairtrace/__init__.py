@@ -53,10 +53,7 @@ from .materials import (
 )
 from .phasematch import (
     CrystalSpec,
-    TransverseMode,
     delta_kz,
-    kz,
-    phasematch_factor,
     solve_phasematch_temperature,
     solve_poling_period,
 )
@@ -74,7 +71,6 @@ from .spdc import (
     SpectralAmplitude,
     apply_spectral_phase,
     bandwidth_fwhm_nm,
-    compute_spectral_amplitude,
     kernel_amplitude,
     quadrature_refine,
     write_spectrum_csv,

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import click
 
-from . import delayscan, scenario as scenario_mod, spdc
-from .dispersionopt import optimization_report_lines, optimize_dispersion, write_scan_csv
-from .errors import PairtraceError
+from . import __version__, delayscan, scenario as scenario_mod
+from .dispersionopt import optimization_report_lines, write_scan_csv
+from .errors import PairtraceError, ValidationError
 from .materials import get_material, group_delay_dispersion
 from .phasematch import CrystalSpec, solve_phasematch_temperature, solve_poling_period
 from .units import omega_from_wavelength_nm
@@ -43,7 +43,7 @@ def _emit(lines, out_dir, filename):
 
 
 @click.group()
-@click.version_option(package_name="pairtrace")
+@click.version_option(version=__version__)
 def main():
     """Delay-scanned upconversion simulator for photon pairs."""
 
@@ -146,10 +146,8 @@ def optimize_cmd(name, out_dir, grid_scale):
     """Run only the dispersion optimization of a scenario."""
     sc = scenario_mod.load_scenario(name)
     if sc.optimize_knob is None:
-        raise PairtraceError("scenario has no [optimize] section")
-    built = scenario_mod.build_system(sc, grid_scale)
-    kernel_s = spdc.kernel_amplitude(built.config)
-    result = optimize_dispersion(kernel_s, built.base_chain, sc.optimize_knob, sc.optimize_bracket)
+        raise ValidationError(f"{sc.name}: scenario has no [optimize] section")
+    result = scenario_mod.build_and_optimize(sc, grid_scale).optimization
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_scan_csv(result, out / "scan.csv")

@@ -64,7 +64,6 @@ class PrismCompressor:
     glass: MaterialModel
     apex_separation_mm: float
     insertion_mm: float | None   # None = solve for curvature compensation later
-    prism_count: int = 4
     design_wavelength_nm: float = 1064.0
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class PrismCompressor:
             raise ValidationError("compressor apex separation must be >= 0")
         if self.insertion_mm is not None and self.insertion_mm < 0:
             raise ValidationError("compressor insertion must be >= 0")
-        if self.prism_count != 4:
-            raise ValidationError("only the four-prism arrangement is modeled")
 
     def phase(self, omega_grid, center_omega):
         if self.insertion_mm is None:
@@ -92,7 +89,7 @@ class PrismCompressor:
         # two pairs, each contributing apex-to-apex path l cos(beam_angle)
         path_um = 2.0 * self.apex_separation_mm * 1000.0 * np.cos(beam_angle)
         angular = omega_grid * path_um / C_UM_FS
-        glass_path_mm = self.prism_count * self.insertion_mm
+        glass_path_mm = 4 * self.insertion_mm    # one insertion per prism
         material = spectral_phase_of_slab(self.glass, glass_path_mm, omega_grid).phase
         return angular + material
 

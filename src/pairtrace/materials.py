@@ -4,7 +4,9 @@ glass. All dispersion formulas reduce to
 
     n^2(lam) = const + sum_k N_k / (lam^2 - C_k) + sum_j D_j lam^(2j)
 
-so index derivatives in wavelength are available in closed form.
+so index derivatives in wavelength are available in closed form. Also
+holds the line-numbered `[section] key = value` reader that both the
+materials data and the scenario files are read with.
 """
 
 from __future__ import annotations
@@ -65,11 +67,6 @@ class SpectralPhase:
             raise ValidationError("omega grid must be uniform")
         if not np.all(np.isfinite(self.phase)):
             raise ValidationError("spectral phase contains non-finite samples")
-
-    def __add__(self, other):
-        if not np.array_equal(self.omega_grid, other.omega_grid):
-            raise ValidationError("cannot add spectral phases on different grids")
-        return SpectralPhase(self.omega_grid, self.phase + other.phase)
 
 
 def _rational_terms(material, temperature_C):
@@ -205,37 +202,133 @@ def taylor_dispersion(phase, center_omega, max_order):
     return out
 
 
-def _parse_materials_text(text, source="materials data"):
+# ----------------------------------------------------------------- data files
+
+def read_sections(text, source, section_keys):
+    """Sections of `key = value` lines under `[section]` headers; `#` comments.
+
+    section_keys(name) gives the keys a section accepts (any container), or
+    None for an unknown section. Returns {section: {key: (value, lineno)}}.
+    Malformed lines, unknown sections and keys, and a section or key given
+    twice raise ValidationError citing source:line. Shared by the materials
+    data and the scenario files.
+    """
     sections = {}
-    current = None
+    body = keys = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
-                raise ValidationError(f"{source}:{lineno}: empty section name")
-            sections[current] = {}
+            name = line[1:-1].strip()
+            if not name:
+                raise ValidationError(f"{where}: empty section name")
+            if name in sections:
+                raise ValidationError(f"{where}: section [{name}] given twice")
+            keys = section_keys(name)
+            if keys is None:
+                raise ValidationError(f"{where}: unknown section [{name}]")
+            body = sections[name] = {}
             continue
-        if "=" not in line or current is None:
-            raise ValidationError(f"{source}:{lineno}: expected 'key = value'")
+        if body is None:
+            raise ValidationError(f"{where}: content before any [section]")
+        if "=" not in line:
+            raise ValidationError(f"{where}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        sections[current][key] = value
-    materials = {}
-    for name, body in sections.items():
+        if not key:
+            raise ValidationError(f"{where}: empty key")
+        if key not in keys:
+            raise ValidationError(f"{where}: unknown key {key!r} in [{name}]")
+        if key in body:
+            raise ValidationError(f"{where}: key {key!r} given twice in [{name}]")
+        body[key] = (value, lineno)
+    return sections
+
+
+class Section:
+    """Typed access to one parsed section (or element line) whose errors cite
+    source:line. label names it in messages; lineno is cited for a missing key."""
+
+    def __init__(self, source, label, body, lineno=None):
+        self.source = source
+        self.label = label
+        self.body = body or {}
+        self.lineno = lineno
+
+    def raw(self, key, default=None):
+        return self.body[key][0] if key in self.body else default
+
+    def fail(self, key, message):
+        lineno = self.body[key][1] if key in self.body else self.lineno
+        where = self.source if lineno is None else f"{self.source}:{lineno}"
+        raise ValidationError(f"{where}: {self.label} {key}: {message}")
+
+    def _default(self, key, default):
+        if default is None:
+            self.fail(key, "missing required key")
+        return default
+
+    def _finite(self, key, text):
         try:
-            formula = body["formula_id"]
-            coeffs = tuple(float(v) for v in body["coefficients"].split())
-            lo, hi = (float(v) for v in body["valid_range_nm"].split())
-        except KeyError as exc:
-            raise ValidationError(f"{source}: material {name!r} missing {exc}") from None
-        except ValueError as exc:
-            raise ValidationError(f"{source}: material {name!r}: {exc}") from None
-        temp = None
-        if "temperature_terms" in body:
-            temp = tuple(float(v) for v in body["temperature_terms"].split())
-        materials[name] = MaterialModel(name, formula, coeffs, (lo, hi), temp)
+            value = float(text)
+        except ValueError:
+            self.fail(key, f"not a number: {text!r}")
+        if not np.isfinite(value):
+            self.fail(key, f"not a finite number: {text!r}")
+        return value
+
+    def number(self, key, default=None):
+        raw = self.raw(key)
+        if raw is None:
+            return self._default(key, default)
+        return self._finite(key, raw)
+
+    def numbers(self, key, default=None, count=None):
+        """Whitespace-separated numbers as a tuple; count fixes how many."""
+        raw = self.raw(key)
+        if raw is None:
+            return self._default(key, default)
+        parts = raw.split()
+        if not parts or (count is not None and len(parts) != count):
+            self.fail(key, f"expected {count or 'one or more'} numbers")
+        return tuple(self._finite(key, part) for part in parts)
+
+    def integer(self, key, default):
+        value = self.number(key, float(default))
+        if value != int(value):
+            self.fail(key, "not an integer")
+        return int(value)
+
+    def word(self, key, default=None, choices=None):
+        raw = self.raw(key)
+        if raw is None:
+            return self._default(key, default)
+        if choices and raw not in choices:
+            self.fail(key, f"must be one of {choices}")
+        return raw
+
+    def flag(self, key, default):
+        raw = self.raw(key, "on" if default else "off")
+        if raw not in ("on", "off"):
+            self.fail(key, "must be 'on' or 'off'")
+        return raw == "on"
+
+
+_MATERIAL_KEYS = ("formula_id", "coefficients", "valid_range_nm", "temperature_terms")
+
+
+def _parse_materials_text(text, source="materials data"):
+    materials = {}
+    for name, body in read_sections(text, source, lambda name: _MATERIAL_KEYS).items():
+        sec = Section(source, f"[{name}]", body)
+        materials[name] = MaterialModel(
+            name,
+            sec.word("formula_id", choices=_FORMULAS),
+            sec.numbers("coefficients"),
+            sec.numbers("valid_range_nm", count=2),
+            sec.numbers("temperature_terms", ()) or None,
+        )
     return materials
 
 

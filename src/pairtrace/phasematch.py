@@ -1,11 +1,10 @@
 """Wavevector geometry and quasi-phasematching.
 
-Longitudinal wavevectors inside the poled crystal, the axial mismatch
-delta_kz = k_pz - k_sz - k_iz - k_g, the complex phasematching factor
-sinc(beta) exp(-i beta), the closed-form poling period and a bracketed
-solver for the degenerate axial phasematching temperature. Transverse
-wavevector components are conserved across the crystal face, so external
-angles map to k_perp through the vacuum dispersion alone.
+The axial mismatch delta_kz = k_pz - k_sz - k_iz - k_g inside the poled
+crystal, the closed-form poling period and a bracketed solver for the
+degenerate axial phasematching temperature. Transverse wavevector
+components are conserved across the crystal face, so external angles map
+to k_perp through the vacuum dispersion alone.
 """
 
 from __future__ import annotations
@@ -44,34 +43,11 @@ class CrystalSpec:
         return 2.0 * np.pi / self.poling_period_um
 
 
-@dataclass(frozen=True)
-class TransverseMode:
-    """A monochromatic plane-wave mode with transverse wavevector magnitude."""
-
-    omega: float          # rad/fs
-    k_perp: float         # rad/um
-    azimuth: float = 0.0  # rad; carried but irrelevant under the isotropy assumption
-
-    def __post_init__(self):
-        if self.k_perp < 0:
-            raise ValidationError("k_perp must be >= 0")
-
-
 def _k_full(omega, crystal):
     n = refractive_index(
         crystal.material, wavelength_nm_from_omega(omega), crystal.temperature_C
     )
     return n * omega / C_UM_FS
-
-
-def kz(mode, crystal):
-    """Longitudinal wavevector component [rad/um] inside the crystal."""
-    k = _k_full(mode.omega, crystal)
-    if mode.k_perp >= k:
-        raise ValidationError(
-            f"evanescent mode: k_perp={mode.k_perp:.6f} >= n w/c={k:.6f} rad/um"
-        )
-    return float(np.sqrt(k * k - mode.k_perp ** 2))
 
 
 def delta_kz(omega_s, k_perp, crystal, pump_omega):
@@ -97,15 +73,6 @@ def delta_kz(omega_s, k_perp, crystal, pump_omega):
     )
     if out.ndim == 0:
         return float(out)
-    return out
-
-
-def phasematch_factor(delta_kz_value, length_mm):
-    """Complex factor sinc(beta) exp(-i beta) with beta = delta_kz L / 2."""
-    beta = np.asarray(delta_kz_value, dtype=float) * (length_mm * 1000.0) / 2.0
-    out = np.sinc(beta / np.pi) * np.exp(-1j * beta)
-    if out.ndim == 0:
-        return complex(out)
     return out
 
 

@@ -8,6 +8,7 @@ keys (`element_1 = slab material=fused_silica thickness_mm=6`).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -17,14 +18,18 @@ import numpy as np
 from . import delayscan, dispersionopt, spdc
 from .delayscan import KERNEL_SIGNAL_DELAY, KERNEL_V_MASK
 from .dispersionopt import (
+    KNOB_INSERTION,
     ElementChain,
+    OptimizationResult,
     PhaseCorrection,
     PrismCompressor,
     Slab,
+    optimize_dispersion,
     solve_compensating_insertion,
+    with_knob,
 )
 from .errors import ValidationError
-from .materials import group_delay_dispersion, load_materials
+from .materials import Section, group_delay_dispersion, load_materials, read_sections
 from .phasematch import CrystalSpec, solve_poling_period
 from .spdc import GridSpec, PupilSpec, SpdcConfig, SpectralAmplitude
 from .units import omega_from_wavelength_nm
@@ -42,127 +47,61 @@ BUNDLED_SCENARIOS = (
 
 # ----------------------------------------------------------------- parsing
 
-def _parse_sections(text, source):
-    """Sections of key = value with line numbers for error reporting."""
-    sections = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
-                raise ValidationError(f"{source}:{lineno}: empty section name")
-            sections.setdefault(current, {})
-            continue
-        if current is None:
-            raise ValidationError(f"{source}:{lineno}: content before any [section]")
-        if "=" not in line:
-            raise ValidationError(f"{source}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ValidationError(f"{source}:{lineno}: empty key")
-        sections[current][key] = (value, lineno)
-    return sections
+class _ElementKeys:
+    """The keys of an ordered element list: element_1, element_2, ..."""
+
+    def __contains__(self, key):
+        return re.fullmatch(r"element_[0-9]+", key) is not None
 
 
-class _Section:
-    """Typed access to one parsed section with line-cited errors."""
+_SECTION_KEYS = {
+    "pump": ("wavelength_nm",),
+    "crystals": (
+        "material", "length_mm", "phasematch_temperature_C", "poling_period_um",
+        "operating_offset_C", "uc_temperature_offset_C", "half_crystal_phases",
+    ),
+    "pupil": (
+        "theta_max_ext_deg", "inner_edge", "mirror_gap_mm", "collimating_focal_mm",
+        "theta_min_ext_rad",
+    ),
+    "grid": ("omega_points", "omega_half_span", "radial_points"),
+    "elements": _ElementKeys(),
+    "elements_idler": _ElementKeys(),
+    "window": _ElementKeys(),
+    "optimize": ("knob", "bracket"),
+    "delay": ("kernel", "tau_span_fs", "tau_step_fs"),
+    "spectrum": ("source", "gaussian_sigma"),
+}
 
-    def __init__(self, source, name, body):
-        self.source = source
-        self.name = name
-        self.body = body or {}
+_ELEMENT_ARGS = {
+    "slab": ("material", "thickness_mm", "temperature_C"),
+    "prism_compressor": ("glass", "apex_separation_mm", "insertion_mm", "design_wavelength_nm"),
+    "phase_correction": ("gdd_fs2", "tod_fs3", "quartic_fs4"),
+}
 
-    def _raw(self, key, default):
-        if key in self.body:
-            return self.body[key][0]
-        return default
 
-    def _fail(self, key, message):
-        lineno = self.body[key][1] if key in self.body else "?"
-        raise ValidationError(f"{self.source}:{lineno}: [{self.name}] {key}: {message}")
-
-    def number(self, key, default=None):
-        raw = self._raw(key, None)
-        if raw is None:
-            if default is None:
+def _parse_elements(section):
+    """(kind, arguments) per element_N line of a section, in index order."""
+    source = section.source
+    elements = []
+    for key, (value, lineno) in sorted(
+        section.body.items(), key=lambda item: int(item[0].removeprefix("element_"))
+    ):
+        parts = value.split()
+        if not parts:
+            raise ValidationError(f"{source}:{lineno}: empty element spec")
+        args = {}
+        for token in parts[1:]:
+            if "=" not in token:
                 raise ValidationError(
-                    f"{self.source}: [{self.name}] missing required key {key!r}"
+                    f"{source}:{lineno}: element argument {token!r} is not key=value"
                 )
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            self._fail(key, f"not a number: {raw!r}")
-
-    def integer(self, key, default):
-        value = self.number(key, float(default))
-        if value != int(value):
-            self._fail(key, "not an integer")
-        return int(value)
-
-    def word(self, key, default=None, choices=None):
-        raw = self._raw(key, default)
-        if raw is None:
-            raise ValidationError(
-                f"{self.source}: [{self.name}] missing required key {key!r}"
-            )
-        if choices and raw not in choices:
-            self._fail(key, f"must be one of {choices}")
-        return raw
-
-    def flag(self, key, default):
-        raw = self._raw(key, "on" if default else "off")
-        if raw not in ("on", "off"):
-            self._fail(key, "must be 'on' or 'off'")
-        return raw == "on"
-
-    def pair(self, key, default):
-        raw = self._raw(key, None)
-        if raw is None:
-            return default
-        parts = raw.split()
-        if len(parts) != 2:
-            self._fail(key, "expected two numbers")
-        try:
-            return float(parts[0]), float(parts[1])
-        except ValueError:
-            self._fail(key, "expected two numbers")
-
-    def elements(self):
-        """Numbered element_N lines, in index order."""
-        items = []
-        for key, (value, lineno) in self.body.items():
-            if not key.startswith("element_"):
-                raise ValidationError(
-                    f"{self.source}:{lineno}: [{self.name}] unexpected key {key!r}"
-                )
-            try:
-                index = int(key.split("_", 1)[1])
-            except ValueError:
-                raise ValidationError(
-                    f"{self.source}:{lineno}: bad element key {key!r}"
-                ) from None
-            items.append((index, value, lineno))
-        items.sort()
-        return [(value, lineno) for _, value, lineno in items]
-
-
-def _parse_element(value, source, lineno):
-    parts = value.split()
-    if not parts:
-        raise ValidationError(f"{source}:{lineno}: empty element spec")
-    kind, args = parts[0], {}
-    for token in parts[1:]:
-        if "=" not in token:
-            raise ValidationError(
-                f"{source}:{lineno}: element argument {token!r} is not key=value"
-            )
-        k, v = token.split("=", 1)
-        args[k] = v
-    return kind, args, lineno
+            k, v = token.split("=", 1)
+            if k in args:
+                raise ValidationError(f"{source}:{lineno}: element argument {k!r} given twice")
+            args[k] = (v, lineno)
+        elements.append((parts[0], Section(source, f"element {parts[0]}", args, lineno)))
+    return elements
 
 
 @dataclass
@@ -194,10 +133,10 @@ class Scenario:
 
 
 def parse_scenario_text(text, source="<scenario>"):
-    sections = _parse_sections(text, source)
+    sections = read_sections(text, source, _SECTION_KEYS.get)
 
     def sec(name):
-        return _Section(source, name, sections.get(name))
+        return Section(source, f"[{name}]", sections.get(name))
 
     pump = sec("pump")
     crystals = sec("crystals")
@@ -214,17 +153,17 @@ def parse_scenario_text(text, source="<scenario>"):
     else:
         theta_min = 0.0
 
-    period_raw = crystals._raw("poling_period_um", "auto")
+    period_raw = crystals.raw("poling_period_um", "auto")
     if period_raw == "auto":
         period = None
     else:
         period = crystals.number("poling_period_um")
         if period <= 0:
-            crystals._fail("poling_period_um", "must be > 0 or 'auto'")
+            crystals.fail("poling_period_um", "must be > 0 or 'auto'")
 
     length = crystals.number("length_mm", 5.0)
     if length <= 0:
-        crystals._fail("length_mm", "must be > 0")
+        crystals.fail("length_mm", "must be > 0")
 
     optimize_knob = None
     optimize_bracket = (-200.0, 200.0)
@@ -235,13 +174,11 @@ def parse_scenario_text(text, source="<scenario>"):
             dispersionopt.KNOB_CORRECTION,
             choices=(dispersionopt.KNOB_CORRECTION, dispersionopt.KNOB_INSERTION),
         )
-        optimize_bracket = opt.pair("bracket", optimize_bracket)
+        optimize_bracket = opt.numbers("bracket", optimize_bracket, count=2)
 
     idler_elements = None
     if "elements_idler" in sections:
-        idler_elements = [
-            _parse_element(v, source, ln) for v, ln in sec("elements_idler").elements()
-        ]
+        idler_elements = _parse_elements(sec("elements_idler"))
 
     return Scenario(
         name=source,
@@ -260,11 +197,9 @@ def parse_scenario_text(text, source="<scenario>"):
             omega_half_span=grid.number("omega_half_span", 0.55),
             radial_points=grid.integer("radial_points", 256),
         ),
-        raw_elements=[_parse_element(v, source, ln) for v, ln in sec("elements").elements()],
+        raw_elements=_parse_elements(sec("elements")),
         raw_idler_elements=idler_elements,
-        raw_window_elements=[
-            _parse_element(v, source, ln) for v, ln in sec("window").elements()
-        ],
+        raw_window_elements=_parse_elements(sec("window")),
         optimize_knob=optimize_knob,
         optimize_bracket=optimize_bracket,
         kernel=delay.word("kernel", KERNEL_SIGNAL_DELAY, choices=delayscan.KERNELS),
@@ -304,49 +239,39 @@ class BuiltSystem:
     registry: dict
 
 
-def _instantiate_element(kind, args, registry, source, lineno):
-    def need(key, cast=float):
-        if key not in args:
-            raise ValidationError(f"{source}:{lineno}: element {kind} missing {key}=")
-        try:
-            return cast(args[key])
-        except ValueError:
-            raise ValidationError(
-                f"{source}:{lineno}: element {kind}: bad value for {key}"
-            ) from None
+def _instantiate_element(kind, args, registry):
+    """One chain element from its kind and its arguments (a Section)."""
+    if kind not in _ELEMENT_ARGS:
+        raise ValidationError(f"{args.source}:{args.lineno}: unknown element kind {kind!r}")
+    for key in args.body:
+        if key not in _ELEMENT_ARGS[kind]:
+            args.fail(key, f"unknown argument; {kind} takes {_ELEMENT_ARGS[kind]}")
 
     def material_of(key):
-        name = args.get(key)
-        if name is None:
-            raise ValidationError(f"{source}:{lineno}: element {kind} missing {key}=")
+        name = args.word(key)
         if name not in registry:
-            raise ValidationError(
-                f"{source}:{lineno}: unknown material {name!r} "
-                f"(registry has {sorted(registry)})"
-            )
+            args.fail(key, f"unknown material {name!r} (registry has {sorted(registry)})")
         return registry[name]
 
     if kind == "slab":
         return Slab(
             material_of("material"),
-            need("thickness_mm"),
-            float(args.get("temperature_C", 20.0)),
+            args.number("thickness_mm"),
+            args.number("temperature_C", 20.0),
         )
     if kind == "prism_compressor":
-        insertion = args.get("insertion_mm", "auto")
+        auto = args.raw("insertion_mm", "auto") == "auto"
         return PrismCompressor(
             material_of("glass"),
-            need("apex_separation_mm"),
-            None if insertion == "auto" else float(insertion),
-            design_wavelength_nm=float(args.get("design_wavelength_nm", 1064.0)),
+            args.number("apex_separation_mm"),
+            None if auto else args.number("insertion_mm"),
+            design_wavelength_nm=args.number("design_wavelength_nm", 1064.0),
         )
-    if kind == "phase_correction":
-        return PhaseCorrection(
-            gdd_fs2=float(args.get("gdd_fs2", 0.0)),
-            tod_fs3=float(args.get("tod_fs3", 0.0)),
-            quartic_fs4=float(args.get("quartic_fs4", 0.0)),
-        )
-    raise ValidationError(f"{source}:{lineno}: unknown element kind {kind!r}")
+    return PhaseCorrection(
+        gdd_fs2=args.number("gdd_fs2", 0.0),
+        tod_fs3=args.number("tod_fs3", 0.0),
+        quartic_fs4=args.number("quartic_fs4", 0.0),
+    )
 
 
 def build_system(scenario, grid_scale=1.0, registry=None):
@@ -373,69 +298,77 @@ def build_system(scenario, grid_scale=1.0, registry=None):
     grid = scenario.grid if grid_scale == 1.0 else scenario.grid.scaled(grid_scale)
     config = SpdcConfig(dc, uc, pupil, pump_omega, grid)
 
-    def chain_from(raw, with_halves):
-        elements = [
-            _instantiate_element(kind, args, registry, scenario.name, lineno)
-            for kind, args, lineno in raw
-        ]
-        if with_halves and scenario.half_crystal_phases:
-            half = scenario.crystal_length_mm / 2.0
-            elements = (
-                [Slab(material, half, t_dc)] + elements + [Slab(material, half, t_uc)]
-            )
-        chain = ElementChain(tuple(elements))
-        return _resolve_auto_insertion(chain, config)
+    def elements_of(raw):
+        return tuple(_instantiate_element(kind, args, registry) for kind, args in raw)
 
-    base = chain_from(scenario.raw_elements, True)
+    def path_chain(raw):
+        elements = elements_of(raw)
+        if scenario.half_crystal_phases:
+            half = scenario.crystal_length_mm / 2.0
+            elements = (Slab(material, half, t_dc),) + elements + (Slab(material, half, t_uc),)
+        chain = ElementChain(elements)
+        if not any(isinstance(e, PrismCompressor) and e.insertion_mm is None for e in elements):
+            return chain
+        # insertion_mm = auto: the insertion that zeroes the path's curvature
+        omega_grid = config.grid.omega_grid(pump_omega)
+        value = solve_compensating_insertion(omega_grid, pump_omega / 2.0, chain)
+        return with_knob(chain, KNOB_INSERTION, value)
+
+    base = path_chain(scenario.raw_elements)
     idler = (
-        chain_from(scenario.raw_idler_elements, True)
+        path_chain(scenario.raw_idler_elements)
         if scenario.raw_idler_elements is not None
         else None
     )
-    window = ElementChain(
-        tuple(
-            _instantiate_element(kind, args, registry, scenario.name, lineno)
-            for kind, args, lineno in scenario.raw_window_elements
-        )
-    )
+    window = ElementChain(elements_of(scenario.raw_window_elements))
     return BuiltSystem(config, base, idler, window, registry)
 
 
-def _resolve_auto_insertion(chain, config):
-    """Replace insertion_mm = auto with the curvature-compensating value."""
-    autos = [
-        i
-        for i, e in enumerate(chain.elements)
-        if isinstance(e, PrismCompressor) and e.insertion_mm is None
-    ]
-    if not autos:
-        return chain
-    if len(autos) > 1:
-        raise ValidationError("only one compressor may use insertion_mm = auto")
-    grid = config.grid.omega_grid(config.pump_omega)
-    probe = ElementChain(
-        tuple(
-            e if i != autos[0] else _replace_insertion(e, 0.0)
-            for i, e in enumerate(chain.elements)
-        )
-    )
-    value = solve_compensating_insertion(grid, config.pump_omega / 2.0, probe)
-    return ElementChain(
-        tuple(
-            e if i != autos[0] else _replace_insertion(e, value)
-            for i, e in enumerate(chain.elements)
-        )
-    )
+@dataclass
+class OptimizedSystem:
+    built: BuiltSystem
+    kernel: SpectralAmplitude                    # bare S0(w), no spectral phase
+    optimization: OptimizationResult | None      # None = no [optimize] section
+    chain: ElementChain                          # signal chain with the optimum knob
 
 
-def _replace_insertion(compressor, value):
-    return PrismCompressor(
-        compressor.glass,
-        compressor.apex_separation_mm,
-        value,
-        compressor.prism_count,
-        compressor.design_wavelength_nm,
+def build_and_optimize(scenario, grid_scale=1.0, radial_levels=None, log=None):
+    """The shared stages build -> kernel -> optimum of every front end.
+
+    radial_levels is passed on to kernel_amplitude; log receives the
+    operating point and the optimum as they are found.
+    """
+    log = log or (lambda msg: None)
+    built = build_system(scenario, grid_scale)
+    log(
+        f"poling period {built.config.dc_crystal.poling_period_um:.6f} um, "
+        f"crystals at {built.config.dc_crystal.temperature_C:.2f} / "
+        f"{built.config.uc_crystal.temperature_C:.2f} C"
     )
+    kernel_s = spdc.kernel_amplitude(built.config, radial_levels)
+    chain, optimization = built.base_chain, None
+    if scenario.optimize_knob is not None:
+        optimization = optimize_dispersion(
+            kernel_s, chain, scenario.optimize_knob, scenario.optimize_bracket
+        )
+        log(
+            f"optimum {scenario.optimize_knob} = {optimization.optimal_value:.3f}, "
+            f"residual GDD {optimization.residual_gdd_fs2:.2f} fs^2"
+        )
+        chain = with_knob(chain, scenario.optimize_knob, optimization.optimal_value)
+    return OptimizedSystem(built, kernel_s, optimization, chain)
+
+
+def dress(kernel_s, chain, window, idler_chain=None):
+    """S(w): the bare kernel under the chain phases, with the window elements
+    on both paths. idler_chain None means the idler shares the signal chain."""
+    grid = kernel_s.omega_grid
+    center = kernel_s.pump_omega / 2.0
+    phi_s = chain.extended(*window.elements).phase(grid, center)
+    phi_i = phi_s if idler_chain is None else (
+        idler_chain.extended(*window.elements).phase(grid, center)
+    )
+    return spdc.apply_spectral_phase(kernel_s, phi_s, phi_i)
 
 
 # ----------------------------------------------------------------- running
@@ -447,7 +380,7 @@ class RunResult:
     trace: delayscan.UpconversionTrace
     trace_metrics: delayscan.TraceMetrics
     extras: dict
-    optimization: dispersionopt.OptimizationResult | None
+    optimization: OptimizationResult | None
     artifacts: dict
 
 
@@ -498,42 +431,17 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
             artifacts["trace_signal_csv"] = out / "trace_signal.csv"
             delayscan.write_trace_csv(ref, artifacts["trace_signal_csv"])
     else:
-        built = build_system(scenario, grid_scale)
-        log(
-            f"poling period {built.config.dc_crystal.poling_period_um:.6f} um, "
-            f"crystals at {built.config.dc_crystal.temperature_C:.2f} / "
-            f"{built.config.uc_crystal.temperature_C:.2f} C"
-        )
-        kernel_s = spdc.kernel_amplitude(built.config)
-        grid = kernel_s.omega_grid
-        center = built.config.pump_omega / 2.0
-
-        chain = built.base_chain
-        if scenario.optimize_knob is not None:
-            optimization = dispersionopt.optimize_dispersion(
-                kernel_s, chain, scenario.optimize_knob, scenario.optimize_bracket
-            )
-            log(
-                f"optimum {scenario.optimize_knob} = {optimization.optimal_value:.3f}, "
-                f"residual GDD {optimization.residual_gdd_fs2:.2f} fs^2"
-            )
-            chain = dispersionopt.with_knob(
-                chain, scenario.optimize_knob, optimization.optimal_value
-            )
+        system = build_and_optimize(scenario, grid_scale, log=log)
+        optimization = system.optimization
+        if optimization is not None:
             extras["residual_gdd_fs2"] = f"{optimization.residual_gdd_fs2:.17g}"
             artifacts["optimization_txt"] = out / "optimization.txt"
             with open(artifacts["optimization_txt"], "w", encoding="utf-8") as fh:
                 fh.write("\n".join(dispersionopt.optimization_report_lines(optimization)) + "\n")
             artifacts["scan_csv"] = out / "scan.csv"
             dispersionopt.write_scan_csv(optimization, artifacts["scan_csv"])
-
-        chain = ElementChain(chain.elements + built.window_chain.elements)
-        idler_chain = built.idler_chain
-        phi_s = chain.phase(grid, center)
-        phi_i = phi_s if idler_chain is None else (
-            ElementChain(idler_chain.elements + built.window_chain.elements).phase(grid, center)
-        )
-        amplitude = spdc.apply_spectral_phase(kernel_s, phi_s, phi_i)
+        built = system.built
+        amplitude = dress(system.kernel, system.chain, built.window_chain, built.idler_chain)
         extras["bandwidth_fwhm_nm"] = f"{spdc.bandwidth_fwhm_nm(amplitude):.17g}"
         tr = delayscan.trace(
             amplitude, scenario.kernel, scenario.tau_span_fs, scenario.tau_step_fs
@@ -559,60 +467,71 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
     return RunResult(scenario, amplitude, tr, tm, extras, optimization, artifacts)
 
 
-FIG3_CASES = (
-    ("fig3a_optimum", None, 0.0),
-    ("fig3b_fs6mm", "fused_silica", 6.0),
-    ("fig3b_fs12mm", "fused_silica", 12.0),
-    ("fig3c_sf10_5mm", "sf10", 5.0),
-    ("fig3d_sf10_37mm", "sf10", 37.0),
+# the fig. 3 ladder: (case label, bundled scenario); the first is the optimum
+FIG3_LADDER = (
+    ("fig3a_optimum", "fig3a"),
+    ("fig3b_fs6mm", "fig3b_99"),
+    ("fig3b_fs12mm", "fig3b_198"),
+    ("fig3c_sf10_5mm", "fig3c_513"),
+    ("fig3d_sf10_37mm", "fig3d_3790"),
 )
 
 
 def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
     """Optimum trace plus the common-dispersion ladder; returns summary rows.
 
-    Optimizes once on the bundled optimum scenario, then appends each
-    window to the optimized chain, as in the ladder procedure. Also runs
-    the v-mask width-ratio check on the bundled Gaussian spectrum.
+    Optimizes once on the optimum scenario, then dresses the optimized
+    chain with each ladder scenario's window, as in the ladder procedure.
+    One kernel and one optimum serve every row, so each ladder scenario
+    must build the same crystals, grid and base chain and scan the same
+    knob. Also runs the v-mask width-ratio check on the bundled Gaussian
+    spectrum.
     """
     log = log or (lambda msg: None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = load_scenario("fig3a")
-    built = build_system(scenario, grid_scale)
-    registry = built.registry
+    ladder = [(case, load_scenario(name)) for case, name in FIG3_LADDER]
+    reference = ladder[0][1]
     radial_levels = {}
-    kernel_s = spdc.kernel_amplitude(built.config, radial_levels)
-    grid = kernel_s.omega_grid
-    center = built.config.pump_omega / 2.0
-
-    optimization = dispersionopt.optimize_dispersion(
-        kernel_s, built.base_chain, scenario.optimize_knob, scenario.optimize_bracket
-    )
-    if optimization.edge_solution:
-        raise ValidationError("dispersion optimum sits on the scan bracket edge")
-    chain_opt = dispersionopt.with_knob(
-        built.base_chain, scenario.optimize_knob, optimization.optimal_value
-    )
+    system = build_and_optimize(reference, grid_scale, radial_levels)
+    optimization = system.optimization
+    if optimization is None or optimization.edge_solution:
+        raise ValidationError(
+            f"{reference.name}: the ladder needs a dispersion optimum inside the scan bracket"
+        )
     log(
         f"optimum correction {optimization.optimal_value:.2f} fs^2, residual "
         f"{optimization.residual_gdd_fs2:.2f} fs^2"
     )
 
+    def shared(sc, built):
+        return (built.config, built.base_chain, built.idler_chain,
+                sc.optimize_knob, sc.optimize_bracket)
+
     rows = []
-    for case, material_name, thickness in FIG3_CASES:
-        chain = chain_opt
-        added_gdd = 0.0
-        if material_name is not None:
-            material = registry[material_name]
-            added_gdd = group_delay_dispersion(
-                material, thickness, 2.0 * scenario.pump_wavelength_nm
+    for case, sc in ladder:
+        built = system.built
+        if sc is not reference:
+            built = build_system(sc, grid_scale, system.built.registry)
+        window = built.window_chain
+        if shared(sc, built) != shared(reference, system.built) or not all(
+            isinstance(e, Slab) for e in window.elements
+        ):
+            raise ValidationError(
+                f"{sc.name}: a ladder scenario must share the kernel and optimum "
+                f"of {reference.name} and add only slabs"
             )
-            chain = chain.extended(Slab(material, thickness))
-        phi = chain.phase(grid, center)
-        amplitude = spdc.apply_spectral_phase(kernel_s, phi, phi)
-        tr = delayscan.trace(amplitude, KERNEL_SIGNAL_DELAY,
-                             scenario.tau_span_fs, scenario.tau_step_fs)
+        added_gdd = sum(
+            (
+                group_delay_dispersion(
+                    e.material, e.thickness_mm, 2.0 * sc.pump_wavelength_nm, e.temperature_C
+                )
+                for e in window.elements
+            ),
+            0.0,
+        )
+        amplitude = dress(system.kernel, system.chain, window, built.idler_chain)
+        tr = delayscan.trace(amplitude, sc.kernel, sc.tau_span_fs, sc.tau_step_fs)
         tm = delayscan.metrics(tr)
         delayscan.write_trace_csv(tr, out / f"{case}.csv")
         rows.append(
@@ -674,7 +593,7 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
             fh.write("all ladder checks passed\n")
 
     if refine_check:
-        report = spdc.quadrature_refine(built.config, radial_levels=radial_levels)
+        report = spdc.quadrature_refine(system.built.config, radial_levels=radial_levels)
         with open(out / "convergence.txt", "w", encoding="utf-8") as fh:
             fh.write("shared kernel for all ladder cases\n")
             fh.write("\n".join(report.lines()) + "\n")

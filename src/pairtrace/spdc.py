@@ -224,17 +224,6 @@ def apply_spectral_phase(amplitude, phi_s, phi_i):
     )
 
 
-def compute_spectral_amplitude(config, phi_s=None, phi_i=None):
-    """Full S(w_s): converged kernel integral times the dispersion phases."""
-    amp = kernel_amplitude(config)
-    if phi_s is None and phi_i is None:
-        return amp
-    zeros = np.zeros_like(amp.omega_grid)
-    return apply_spectral_phase(
-        amp, zeros if phi_s is None else phi_s, zeros if phi_i is None else phi_i
-    )
-
-
 @dataclass
 class ConvergenceReport:
     """Relative changes per refinement doubling, radial and frequency."""

@@ -79,8 +79,8 @@ def test_slab_phase_additivity():
     m = get_material("fused_silica")
     grid = omega_grid_around(1064.0)
     one = spectral_phase_of_slab(m, 6.0, grid)
-    two = spectral_phase_of_slab(m, 3.0, grid) + spectral_phase_of_slab(m, 3.0, grid)
-    np.testing.assert_allclose(two.phase, one.phase, rtol=1e-12)
+    two = spectral_phase_of_slab(m, 3.0, grid).phase + spectral_phase_of_slab(m, 3.0, grid).phase
+    np.testing.assert_allclose(two, one.phase, rtol=1e-12)
 
 
 def test_slab_phase_range_error():
@@ -195,6 +195,26 @@ def test_parse_error_cites_line():
     with pytest.raises(ValidationError) as err:
         _parse_materials_text(text, source="inline")
     assert "inline:2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, words",
+    [
+        ("coefficient = 1.0 2.0", "unknown key 'coefficient'"),
+        ("valid_range_nm = 400 900", "given twice"),
+        ("temperature_terms = 1.0 nan", "not a finite number"),
+    ],
+    ids=["unknown_key", "repeated_key", "non_finite"],
+)
+def test_materials_data_errors_cite_line(line, words):
+    text = (
+        "[flint]\nformula_id = sellmeier\ncoefficients = 1.0 0.01\n"
+        f"valid_range_nm = 400 900\n{line}\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        _parse_materials_text(text, source="inline")
+    assert str(err.value).startswith("inline:5: ")
+    assert words in str(err.value)
 
 
 def test_spectral_phase_grid_validation():

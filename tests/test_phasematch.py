@@ -4,14 +4,11 @@ import pytest
 from pairtrace import SolverError, ValidationError, get_material, refractive_index
 from pairtrace.phasematch import (
     CrystalSpec,
-    TransverseMode,
     delta_kz,
-    kz,
-    phasematch_factor,
     solve_phasematch_temperature,
     solve_poling_period,
 )
-from pairtrace.units import C_UM_FS, omega_from_wavelength_nm
+from pairtrace.units import C_UM_FS, omega_from_wavelength_nm, wavelength_nm_from_omega
 
 PUMP_OMEGA = omega_from_wavelength_nm(532.0)
 
@@ -30,21 +27,28 @@ def crystal(T=48.5, period=LAMBDA_50C_UM, length=5.0):
 
 # ------------------------------------------------------------------ kz
 
+def degenerate_kz(k_perp, c):
+    """Longitudinal signal wavevector [rad/um] at degeneracy, read from the
+    mismatch: with w_i = w_s and k_i_perp = -k_s_perp, delta_kz = k_p - 2 kz - k_g."""
+    n_p = refractive_index(c.material, wavelength_nm_from_omega(PUMP_OMEGA), c.temperature_C)
+    k_p = n_p * PUMP_OMEGA / C_UM_FS
+    return (k_p - c.grating_k - delta_kz(PUMP_OMEGA / 2, k_perp, c, PUMP_OMEGA)) / 2
+
+
 def test_kz_axial_equals_bulk_wavevector():
     c = crystal()
     w = PUMP_OMEGA / 2
     n = refractive_index(c.material, 1064.0, c.temperature_C)
-    assert kz(TransverseMode(w, 0.0), c) == pytest.approx(n * w / C_UM_FS, rel=1e-14)
+    assert degenerate_kz(0.0, c) == pytest.approx(n * w / C_UM_FS, rel=1e-14)
 
 
 def test_kz_small_angle_expansion():
     c = crystal()
-    w = PUMP_OMEGA / 2
-    k = kz(TransverseMode(w, 0.0), c)
+    k = degenerate_kz(0.0, c)
     for eps in (1e-3, 5e-3, 1e-2):
         kp = k * np.sin(eps)
         expect = k * (1 - eps ** 2 / 2)
-        assert kz(TransverseMode(w, kp), c) == pytest.approx(expect, rel=1e-9)
+        assert degenerate_kz(kp, c) == pytest.approx(expect, rel=1e-9)
 
 
 def test_kz_external_2deg_fixture():
@@ -53,19 +57,13 @@ def test_kz_external_2deg_fixture():
     w = PUMP_OMEGA / 2
     k_perp = (w / C_UM_FS) * np.sin(np.deg2rad(2.0))
     assert k_perp == pytest.approx(KPERP_2DEG, abs=1e-9)
-    assert kz(TransverseMode(w, k_perp), c) == pytest.approx(KZ_2DEG_FIXTURE, abs=1e-8)
+    assert degenerate_kz(k_perp, c) == pytest.approx(KZ_2DEG_FIXTURE, abs=1e-8)
 
 
 def test_kz_evanescent_rejected():
     c = crystal()
-    w = PUMP_OMEGA / 2
     with pytest.raises(ValidationError):
-        kz(TransverseMode(w, KFULL_2DEG * 1.01), c)
-
-
-def test_transverse_mode_negative_kperp_rejected():
-    with pytest.raises(ValidationError):
-        TransverseMode(1.7, -0.1)
+        delta_kz(PUMP_OMEGA / 2, KFULL_2DEG * 1.01, c, PUMP_OMEGA)
 
 
 # ------------------------------------------------------------------ delta_kz
@@ -115,27 +113,6 @@ def test_delta_kz_vectorized_matches_scalar():
     arr = delta_kz(w, kp, c, PUMP_OMEGA)
     for i in range(7):
         assert arr[i] == delta_kz(float(w[i]), float(kp[i]), c, PUMP_OMEGA)
-
-
-# ------------------------------------------------------------------ factor
-
-def test_phasematch_factor_closed_forms():
-    # beta = dk L/2 with L in um; pick dk so beta hits the landmarks
-    assert phasematch_factor(0.0, 5.0) == pytest.approx(1.0 + 0.0j)
-    beta_pi = 2 * np.pi / 5000.0
-    assert abs(phasematch_factor(beta_pi, 5.0)) == pytest.approx(0.0, abs=1e-15)
-    beta_half = np.pi / 5000.0
-    val = phasematch_factor(beta_half, 5.0)
-    assert abs(val) == pytest.approx(2 / np.pi, rel=1e-12)
-    assert np.angle(val) == pytest.approx(-np.pi / 2, rel=1e-12)
-
-
-def test_phasematch_factor_magnitude_bounded():
-    dk = np.linspace(-0.5, 0.5, 4001)
-    mag = np.abs(phasematch_factor(dk, 5.0))
-    assert np.all(mag <= 1.0 + 1e-12)
-    assert mag.max() == pytest.approx(1.0)
-    assert np.count_nonzero(mag > 1.0 - 1e-9) == 1  # only beta = 0 saturates
 
 
 # ------------------------------------------------------------------ solvers

@@ -1,10 +1,13 @@
+from importlib import resources
+
 import pytest
 from click.testing import CliRunner
 
-from pairtrace import ValidationError
+from pairtrace import ValidationError, scenario
 from pairtrace.cli import main
 from pairtrace.scenario import (
     BUNDLED_SCENARIOS,
+    FIG3_LADDER,
     build_system,
     load_scenario,
     parse_scenario_text,
@@ -87,6 +90,43 @@ def test_unknown_element_kind_rejected(tmp_path):
     with pytest.raises(ValidationError) as err:
         build_system(sc)
     assert "grating" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, line, words",
+    [
+        ("[pump]\nwavelength_nm = 532\n[pumps]\n", 3, "unknown section [pumps]"),
+        ("[grid]\nomega_pionts = 64\n", 2, "unknown key 'omega_pionts'"),
+        ("[pump]\nwavelength_nm = 532\nwavelength_nm = 540\n", 3, "given twice"),
+        ("[pump]\n[pump]\n", 2, "section [pump] given twice"),
+        ("[window]\nelement_1 = slab thickness_mm=1 thickness_mm=2\n", 2, "given twice"),
+        ("[window]\nelement_x = slab thickness_mm=1\n", 2, "unknown key 'element_x'"),
+    ],
+    ids=["section", "key", "repeated_key", "repeated_section", "repeated_argument",
+         "element_key"],
+)
+def test_unknown_or_repeated_keys_rejected_citing_line(text, line, words):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text(text, source="bad.scn")
+    assert str(err.value).startswith(f"bad.scn:{line}: ")
+    assert words in str(err.value)
+
+
+def test_keys_read_only_in_some_settings_are_accepted():
+    text = "[pupil]\ninner_edge = off\nmirror_gap_mm = 1.5\ncollimating_focal_mm = 75\n"
+    assert parse_scenario_text(text, source="p.scn").theta_min_ext_rad == 0.0
+
+
+@pytest.mark.parametrize(
+    "text", ["[delay]\ntau_step_fs = inf\n", "[grid]\nomega_points = nan\n",
+             "[optimize]\nbracket = -inf 200\n"],
+    ids=["number", "integer", "pair"],
+)
+def test_non_finite_numbers_rejected_at_parse(text):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text(text, source="bad.scn")
+    assert str(err.value).startswith("bad.scn:2: ")
+    assert "not a finite number" in str(err.value)
 
 
 # ---------------------------------------------------------------- running
@@ -234,3 +274,65 @@ def test_cli_spectrum_grid_scale(tmp_path):
         rows = fh.read().strip().splitlines()
     assert rows[0] == "omega_rad_per_fs,wavelength_nm,re_S,im_S,abs2_S"
     assert len(rows) == 1 + 512  # 2048 * 0.25
+
+
+def test_cli_version_needs_no_installed_metadata():
+    result = CliRunner().invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
+
+
+def fig3a_with(old, new):
+    text = resources.files("pairtrace.scenarios").joinpath("fig3a.scn").read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "old, new, line, words",
+    [
+        ("insertion_mm=auto", "insertion_mm=abc", 28, "insertion_mm: not a number: 'abc'"),
+        ("insertion_mm=auto", "insertion_mm=inf", 28, "insertion_mm: not a finite number"),
+        ("insertion_mm=auto", "insertion_mm=auto temperatur_C=30", 28,
+         "temperatur_C: unknown argument"),
+        ("tau_span_fs = 150", "tau_span_fs = nan", 36, "tau_span_fs: not a finite number"),
+        ("omega_points = 2048", "omega_pionts = 64", 23, "unknown key 'omega_pionts'"),
+    ],
+    ids=["insertion_abc", "insertion_inf", "unknown_element_argument", "tau_span_nan",
+         "misspelled_key"],
+)
+def test_cli_bad_scenario_value_exits_2_citing_line(tmp_path, old, new, line, words):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(fig3a_with(old, new))
+    result = CliRunner().invoke(
+        main, ["trace", "--scenario", str(scn), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {scn}:{line}: ")
+    assert words in lines[0]
+
+
+def test_cli_optimize_without_optimize_section_exits_2(tmp_path):
+    result = CliRunner().invoke(
+        main, ["optimize", "--scenario", "fig2b_detuned", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "no [optimize] section" in result.output
+
+
+def test_ladder_rows_equal_their_scenario_runs(tmp_path):
+    reproduce_fig3(tmp_path / "fig3", grid_scale=0.5)
+    for case, name in FIG3_LADDER:
+        run_scenario(name, tmp_path / name, grid_scale=0.5)
+        ladder_csv = (tmp_path / "fig3" / f"{case}.csv").read_bytes()
+        assert ladder_csv == (tmp_path / name / "trace.csv").read_bytes()
+
+
+def test_ladder_scenario_with_another_kernel_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        scenario, "FIG3_LADDER", (("fig3a_optimum", "fig3a"), ("detuned", "fig2b_detuned"))
+    )
+    with pytest.raises(ValidationError) as err:
+        reproduce_fig3(tmp_path / "fig3", grid_scale=0.5)
+    assert "must share the kernel and optimum" in str(err.value)

@@ -12,7 +12,6 @@ from pairtrace.spdc import (
     SpectralAmplitude,
     apply_spectral_phase,
     bandwidth_fwhm_nm,
-    compute_spectral_amplitude,
     kernel_amplitude,
     quadrature_refine,
     write_spectrum_csv,
@@ -200,12 +199,13 @@ def test_radial_rule_converges_on_gaussian_integrand():
     assert order >= 2.0
 
 
-def test_compute_spectral_amplitude_with_and_without_phase(default_config, default_kernel):
+def test_apply_spectral_phase_on_kernel_amplitude(default_config, default_kernel):
     grid = default_kernel.omega_grid
     phi = 40.0 * (grid - PUMP_OMEGA / 2.0) ** 2
-    full = compute_spectral_amplitude(default_config, phi, phi)
+    full = apply_spectral_phase(kernel_amplitude(default_config), phi, phi)
     np.testing.assert_allclose(np.abs(full.values), np.abs(default_kernel.values), rtol=1e-12)
-    bare = compute_spectral_amplitude(default_config)
+    zeros = np.zeros_like(grid)
+    bare = apply_spectral_phase(default_kernel, zeros, zeros)
     np.testing.assert_array_equal(bare.values, default_kernel.values)
 
 
