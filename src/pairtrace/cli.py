@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation, 3 convergence, 4 solver failure.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,19 @@ def _trap_errors(fn):
     return wrapper
 
 
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that rejects nan and inf like any other bad value."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
+
+
+_FINITE_FLOAT = _FiniteFloat()
+
+
 def _emit(lines, out_dir, filename):
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
@@ -50,9 +64,9 @@ def main():
 
 @main.command("material-gdd")
 @click.option("--material", "name", required=True, help="Material name from the registry.")
-@click.option("--thickness-mm", type=float, required=True)
-@click.option("--wavelength-nm", type=float, default=1064.0, show_default=True)
-@click.option("--temperature-c", type=float, default=20.0, show_default=True)
+@click.option("--thickness-mm", type=_FINITE_FLOAT, required=True)
+@click.option("--wavelength-nm", type=_FINITE_FLOAT, default=1064.0, show_default=True)
+@click.option("--temperature-c", type=_FINITE_FLOAT, default=20.0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Also write the report here.")
 @_trap_errors
 def material_gdd(name, thickness_mm, wavelength_nm, temperature_c, out_dir):
@@ -72,11 +86,11 @@ def material_gdd(name, thickness_mm, wavelength_nm, temperature_c, out_dir):
 
 
 @main.command("qpm-solve")
-@click.option("--pump-nm", type=float, default=532.0, show_default=True)
-@click.option("--temperature-c", type=float, default=50.0, show_default=True)
+@click.option("--pump-nm", type=_FINITE_FLOAT, default=532.0, show_default=True)
+@click.option("--temperature-c", type=_FINITE_FLOAT, default=50.0, show_default=True)
 @click.option("--material", "name", default="mgln_e", show_default=True)
-@click.option("--length-mm", type=float, default=5.0, show_default=True)
-@click.option("--bracket-um", nargs=2, type=float, default=(3.0, 40.0),
+@click.option("--length-mm", type=_FINITE_FLOAT, default=5.0, show_default=True)
+@click.option("--bracket-um", nargs=2, type=_FINITE_FLOAT, default=(3.0, 40.0),
               show_default=True, help="Window of accepted poling periods.")
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 @_trap_errors
@@ -103,7 +117,7 @@ _SCENARIO_OPTIONS = [
     click.option("--scenario", "name", required=True,
                  help="Scenario file path or bundled name (e.g. fig3a)."),
     click.option("--out", "out_dir", type=click.Path(), required=True),
-    click.option("--grid-scale", type=float, default=1.0, show_default=True,
+    click.option("--grid-scale", type=_FINITE_FLOAT, default=1.0, show_default=True,
                  help="Scale factor for frequency and radial sample counts."),
 ]
 
@@ -135,8 +149,7 @@ def spectrum_cmd(name, out_dir, grid_scale):
         name, out_dir, grid_scale, log=lambda m: click.echo(m, err=True)
     )
     click.echo(f"spectrum_csv={result.artifacts['spectrum_csv']}")
-    if "bandwidth_fwhm_nm" in result.extras:
-        click.echo(f"bandwidth_fwhm_nm={result.extras['bandwidth_fwhm_nm']}")
+    click.echo(f"bandwidth_fwhm_nm={result.extras['bandwidth_fwhm_nm']}")
 
 
 @main.command("optimize")
@@ -156,7 +169,7 @@ def optimize_cmd(name, out_dir, grid_scale):
 
 @main.command("reproduce-fig3")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--grid-scale", type=float, default=1.0, show_default=True)
+@click.option("--grid-scale", type=_FINITE_FLOAT, default=1.0, show_default=True)
 @click.option("--refine-check", is_flag=True, help="Also run the quadrature refinement ladder.")
 @_trap_errors
 def reproduce_fig3_cmd(out_dir, grid_scale, refine_check):

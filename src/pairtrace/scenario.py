@@ -128,8 +128,7 @@ class Scenario:
     kernel: str = KERNEL_SIGNAL_DELAY
     tau_span_fs: float = 150.0
     tau_step_fs: float = 0.35
-    spectrum_source: str = "spdc"
-    gaussian_sigma: float = 0.05
+    gaussian_sigma: float | None = None  # None = the SPDC kernel, else a Gaussian source
 
 
 def parse_scenario_text(text, source="<scenario>"):
@@ -165,6 +164,17 @@ def parse_scenario_text(text, source="<scenario>"):
     if length <= 0:
         crystals.fail("length_mm", "must be > 0")
 
+    sigma = spectrum.number("gaussian_sigma", 0.05)
+    if sigma <= 0:
+        spectrum.fail("gaussian_sigma", "must be > 0")
+    gaussian = spectrum.word("source", "spdc", choices=("spdc", "gaussian")) == "gaussian"
+
+    tau_span = delay.number("tau_span_fs", 150.0)
+    tau_step = delay.number("tau_step_fs", 0.35)
+    for key, value in (("tau_span_fs", tau_span), ("tau_step_fs", tau_step)):
+        if value <= 0:
+            delay.fail(key, "must be > 0")
+
     optimize_knob = None
     optimize_bracket = (-200.0, 200.0)
     if "optimize" in sections:
@@ -189,7 +199,7 @@ def parse_scenario_text(text, source="<scenario>"):
         poling_period_um=period,
         operating_offset_C=crystals.number("operating_offset_C", -1.5),
         uc_temperature_offset_C=crystals.number("uc_temperature_offset_C", 0.0),
-        half_crystal_phases=crystals.flag("half_crystal_phases", True),
+        half_crystal_phases=crystals.flag("half_crystal_phases", not gaussian),
         theta_max_ext_rad=theta_max,
         theta_min_ext_rad=theta_min,
         grid=GridSpec(
@@ -203,10 +213,9 @@ def parse_scenario_text(text, source="<scenario>"):
         optimize_knob=optimize_knob,
         optimize_bracket=optimize_bracket,
         kernel=delay.word("kernel", KERNEL_SIGNAL_DELAY, choices=delayscan.KERNELS),
-        tau_span_fs=delay.number("tau_span_fs", 150.0),
-        tau_step_fs=delay.number("tau_step_fs", 0.35),
-        spectrum_source=spectrum.word("source", "spdc", choices=("spdc", "gaussian")),
-        gaussian_sigma=spectrum.number("gaussian_sigma", 0.05),
+        tau_span_fs=tau_span,
+        tau_step_fs=tau_step,
+        gaussian_sigma=sigma if gaussian else None,
     )
 
 
@@ -283,6 +292,7 @@ def build_system(scenario, grid_scale=1.0, registry=None):
         )
     material = registry[scenario.crystal_material]
     pump_omega = omega_from_wavelength_nm(scenario.pump_wavelength_nm)
+    grid = scenario.grid.scaled(grid_scale)
 
     period = scenario.poling_period_um
     if period is None:
@@ -295,7 +305,6 @@ def build_system(scenario, grid_scale=1.0, registry=None):
     uc = CrystalSpec(material, scenario.crystal_length_mm, period, t_uc)
 
     pupil = PupilSpec(scenario.theta_min_ext_rad, scenario.theta_max_ext_rad)
-    grid = scenario.grid if grid_scale == 1.0 else scenario.grid.scaled(grid_scale)
     config = SpdcConfig(dc, uc, pupil, pump_omega, grid)
 
     def elements_of(raw):
@@ -335,17 +344,22 @@ class OptimizedSystem:
 def build_and_optimize(scenario, grid_scale=1.0, radial_levels=None, log=None):
     """The shared stages build -> kernel -> optimum of every front end.
 
-    radial_levels is passed on to kernel_amplitude; log receives the
-    operating point and the optimum as they are found.
+    The kernel is the Gaussian test spectrum when gaussian_sigma is set,
+    else the SPDC kernel, to which radial_levels is passed on; log
+    receives the source and the optimum as they are found.
     """
     log = log or (lambda msg: None)
     built = build_system(scenario, grid_scale)
-    log(
-        f"poling period {built.config.dc_crystal.poling_period_um:.6f} um, "
-        f"crystals at {built.config.dc_crystal.temperature_C:.2f} / "
-        f"{built.config.uc_crystal.temperature_C:.2f} C"
-    )
-    kernel_s = spdc.kernel_amplitude(built.config, radial_levels)
+    if scenario.gaussian_sigma is None:
+        log(
+            f"poling period {built.config.dc_crystal.poling_period_um:.6f} um, "
+            f"crystals at {built.config.dc_crystal.temperature_C:.2f} / "
+            f"{built.config.uc_crystal.temperature_C:.2f} C"
+        )
+        kernel_s = spdc.kernel_amplitude(built.config, radial_levels)
+    else:
+        log(f"gaussian test spectrum, sigma = {scenario.gaussian_sigma} rad/fs")
+        kernel_s = spdc.gaussian_amplitude(built.config, scenario.gaussian_sigma)
     chain, optimization = built.base_chain, None
     if scenario.optimize_knob is not None:
         optimization = optimize_dispersion(
@@ -384,17 +398,6 @@ class RunResult:
     artifacts: dict
 
 
-def _gaussian_amplitude(scenario):
-    pump_omega = omega_from_wavelength_nm(scenario.pump_wavelength_nm)
-    grid = scenario.grid.omega_grid(pump_omega)
-    delta = grid - pump_omega / 2.0
-    sigma = scenario.gaussian_sigma
-    if sigma <= 0:
-        raise ValidationError("gaussian_sigma must be > 0")
-    values = np.exp(-(delta ** 2) / (4.0 * sigma ** 2))  # intensity std = sigma
-    return SpectralAmplitude(grid, values.astype(complex), pump_omega)
-
-
 def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
     """Run one scenario and write its artifacts; returns a RunResult."""
     sink = log or (lambda msg: None)
@@ -408,46 +411,36 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
         scenario = name_or_scenario
     else:
         scenario = load_scenario(name_or_scenario)
+    system = build_and_optimize(scenario, grid_scale, log=log)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {}
     extras = {}
-    optimization = None
-
-    if scenario.spectrum_source == "gaussian":
-        amplitude = _gaussian_amplitude(scenario)
-        log(f"gaussian test spectrum, sigma = {scenario.gaussian_sigma} rad/fs")
-        tr = delayscan.trace(
-            amplitude, scenario.kernel, scenario.tau_span_fs, scenario.tau_step_fs
+    optimization = system.optimization
+    if optimization is not None:
+        extras["residual_gdd_fs2"] = f"{optimization.residual_gdd_fs2:.17g}"
+        artifacts["optimization_txt"] = out / "optimization.txt"
+        with open(artifacts["optimization_txt"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(dispersionopt.optimization_report_lines(optimization)) + "\n")
+        artifacts["scan_csv"] = out / "scan.csv"
+        dispersionopt.write_scan_csv(optimization, artifacts["scan_csv"])
+    built = system.built
+    amplitude = dress(system.kernel, system.chain, built.window_chain, built.idler_chain)
+    extras["bandwidth_fwhm_nm"] = f"{spdc.bandwidth_fwhm_nm(amplitude):.17g}"
+    tr = delayscan.trace(
+        amplitude, scenario.kernel, scenario.tau_span_fs, scenario.tau_step_fs
+    )
+    tm = delayscan.metrics(tr)
+    extras["peak_to_mean_80fs"] = f"{delayscan.peak_to_mean_ratio(tr):.17g}"
+    if scenario.kernel == KERNEL_V_MASK:
+        ref = delayscan.trace(
+            amplitude, KERNEL_SIGNAL_DELAY, scenario.tau_span_fs, scenario.tau_step_fs
         )
-        tm = delayscan.metrics(tr)
-        if scenario.kernel == KERNEL_V_MASK:
-            ref = delayscan.trace(
-                amplitude, KERNEL_SIGNAL_DELAY, scenario.tau_span_fs, scenario.tau_step_fs
-            )
-            ref_m = delayscan.metrics(ref)
-            extras["signal_delay_fwhm_fs"] = f"{ref_m.fwhm_fs:.17g}"
-            extras["fwhm_ratio_vmask"] = f"{tm.fwhm_fs / ref_m.fwhm_fs:.17g}"
-            artifacts["trace_signal_csv"] = out / "trace_signal.csv"
-            delayscan.write_trace_csv(ref, artifacts["trace_signal_csv"])
-    else:
-        system = build_and_optimize(scenario, grid_scale, log=log)
-        optimization = system.optimization
-        if optimization is not None:
-            extras["residual_gdd_fs2"] = f"{optimization.residual_gdd_fs2:.17g}"
-            artifacts["optimization_txt"] = out / "optimization.txt"
-            with open(artifacts["optimization_txt"], "w", encoding="utf-8") as fh:
-                fh.write("\n".join(dispersionopt.optimization_report_lines(optimization)) + "\n")
-            artifacts["scan_csv"] = out / "scan.csv"
-            dispersionopt.write_scan_csv(optimization, artifacts["scan_csv"])
-        built = system.built
-        amplitude = dress(system.kernel, system.chain, built.window_chain, built.idler_chain)
-        extras["bandwidth_fwhm_nm"] = f"{spdc.bandwidth_fwhm_nm(amplitude):.17g}"
-        tr = delayscan.trace(
-            amplitude, scenario.kernel, scenario.tau_span_fs, scenario.tau_step_fs
-        )
-        tm = delayscan.metrics(tr)
-        extras["peak_to_mean_80fs"] = f"{delayscan.peak_to_mean_ratio(tr):.17g}"
+        ref_m = delayscan.metrics(ref)
+        extras["signal_delay_fwhm_fs"] = f"{ref_m.fwhm_fs:.17g}"
+        extras["fwhm_ratio_vmask"] = f"{tm.fwhm_fs / ref_m.fwhm_fs:.17g}"
+        artifacts["trace_signal_csv"] = out / "trace_signal.csv"
+        delayscan.write_trace_csv(ref, artifacts["trace_signal_csv"])
 
     extras["rate_zero_delay"] = f"{delayscan.rate_at_zero_delay(amplitude):.17g}"
     if scenario.kernel == KERNEL_SIGNAL_DELAY:

@@ -73,6 +73,8 @@ class GridSpec:
 
     def scaled(self, factor):
         """Grid with both sample counts scaled by a factor (for overrides)."""
+        if not 0.0 < factor < float("inf"):
+            raise ValidationError(f"grid scale must be finite and > 0, got {factor!r}")
         return replace(
             self,
             omega_points=max(16, int(round(self.omega_points * factor))),
@@ -163,6 +165,17 @@ def _bare_amplitude(config, radial_points):
     values = values.astype(complex)
     values[~open_pupil] = 0.0
     return SpectralAmplitude(grid, values, config.pump_omega)
+
+
+def gaussian_amplitude(config, sigma):
+    """Gaussian test spectrum |S| = exp(-d^2 / 4 sigma^2), d = w - w_p/2, on the
+    config's frequency grid; sigma is the intensity std in rad/fs."""
+    if not sigma > 0:
+        raise ValidationError("gaussian_sigma must be > 0")
+    grid = config.grid.omega_grid(config.pump_omega)
+    delta = grid - config.pump_omega / 2.0
+    values = np.exp(-(delta ** 2) / (4.0 * sigma ** 2))
+    return SpectralAmplitude(grid, values.astype(complex), config.pump_omega)
 
 
 def _relative_change(coarse, fine):

@@ -1,5 +1,6 @@
 from importlib import resources
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -336,3 +337,99 @@ def test_ladder_scenario_with_another_kernel_rejected(tmp_path, monkeypatch):
     with pytest.raises(ValidationError) as err:
         reproduce_fig3(tmp_path / "fig3", grid_scale=0.5)
     assert "must share the kernel and optimum" in str(err.value)
+
+
+# ---------------------------------------------------------------- one run path
+
+def test_cli_gaussian_follows_grid_scale(tmp_path):
+    out = tmp_path / "g"
+    result = CliRunner().invoke(
+        main, ["trace", "--scenario", "gauss_vmask", "--out", str(out), "--grid-scale", "0.5"]
+    )
+    assert result.exit_code == 0
+    assert "bandwidth_fwhm_nm=" in result.output
+    with open(out / "spectrum.csv") as fh:
+        assert len(fh.read().strip().splitlines()) == 1 + 1024  # 2048 * 0.5
+
+
+@pytest.mark.parametrize("gdd", [0.0, 50.0, 100.0, 200.0, 400.0])
+def test_chirped_gaussian_oracle_through_scenario(tmp_path, gdd):
+    # exp(-d^2/4 sigma^2) with gdd (w-w0)^2/2 on both photons has phase gdd d^2;
+    # its signal-delay trace is the chirped-Gaussian pulse of Diels & Rudolph ch. 1
+    sigma = 0.05
+    text = (
+        f"[spectrum]\nsource = gaussian\ngaussian_sigma = {sigma}\n"
+        f"[elements]\nelement_1 = phase_correction gdd_fs2={gdd}\n"
+    )
+    sc = parse_scenario_text(text, source="chirp.scn")
+    assert sc.half_crystal_phases is False
+    result = run_scenario(sc, tmp_path / "out")
+    expected = (
+        2.0 * np.sqrt(2.0 * np.log(2.0)) / (2.0 * sigma)
+        * np.sqrt(1.0 + 16.0 * sigma ** 4 * gdd ** 2)
+    )
+    assert result.trace_metrics.fwhm_fs == pytest.approx(expected, rel=1e-4)
+
+
+def test_gaussian_source_takes_explicit_half_crystal_phases():
+    text = GAUSS_TEXT + "\n[crystals]\nhalf_crystal_phases = on\n"
+    chain = build_system(parse_scenario_text(text, source="g.scn")).base_chain
+    assert [e.thickness_mm for e in chain.elements] == [2.5, 2.5]
+
+
+def test_spdc_vmask_scenario_writes_signal_reference(tmp_path):
+    sc = parse_scenario_text(
+        fig3a_with("kernel = signal-delay", "kernel = v-mask"), source="fig3a_v.scn"
+    )
+    result = run_scenario(sc, tmp_path / "out", grid_scale=0.25)
+    assert (tmp_path / "out" / "trace_signal.csv").exists()
+    metrics = (tmp_path / "out" / "metrics.txt").read_text()
+    assert f"fwhm_ratio_vmask={result.extras['fwhm_ratio_vmask']}" in metrics
+    assert float(result.extras["fwhm_ratio_vmask"]) > 1.0
+
+
+@pytest.mark.parametrize(
+    "args, words",
+    [
+        (["trace", "--scenario", "fig3a", "--grid-scale", "nan"], "'--grid-scale'"),
+        (["trace", "--scenario", "gauss_vmask", "--grid-scale", "0"], "grid scale"),
+        (["trace", "--scenario", "gauss_vmask", "--grid-scale", "-1"], "grid scale"),
+        (["trace", "--scenario", "gauss_vmask", "--grid-scale", "nan"], "'--grid-scale'"),
+        (["trace", "--scenario", "gauss_vmask", "--grid-scale", "inf"], "'--grid-scale'"),
+        (["material-gdd", "--material", "sf10", "--thickness-mm", "nan"], "'--thickness-mm'"),
+        (["qpm-solve", "--temperature-c", "inf"], "'--temperature-c'"),
+    ],
+    ids=["fig3a_nan", "gauss_zero", "gauss_negative", "gauss_nan", "gauss_inf",
+         "material_gdd_nan", "qpm_solve_inf"],
+)
+def test_cli_bad_option_value_exits_2_before_any_work(tmp_path, args, words):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2
+    errors = [l for l in result.output.splitlines() if l.lower().startswith("error:")]
+    assert len(errors) == 1 and words in errors[0]
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_scenario_rejects_bad_grid_scale(tmp_path, factor):
+    with pytest.raises(ValidationError, match="grid scale"):
+        run_scenario("gauss_vmask", tmp_path / "out", grid_scale=factor)
+
+
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        ("[spectrum]\ngaussian_sigma = 0\n", "gaussian_sigma: must be > 0"),
+        ("[spectrum]\ngaussian_sigma = -0.05\n", "gaussian_sigma: must be > 0"),
+        ("[delay]\ntau_span_fs = 0\n", "tau_span_fs: must be > 0"),
+        ("[delay]\ntau_step_fs = -0.35\n", "tau_step_fs: must be > 0"),
+    ],
+    ids=["sigma_zero", "sigma_negative", "tau_span_zero", "tau_step_negative"],
+)
+def test_non_positive_values_rejected_at_parse_citing_line(text, words):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text(text, source="bad.scn")
+    assert str(err.value).startswith("bad.scn:2: ")
+    assert words in str(err.value)
