@@ -19,10 +19,17 @@ is applied outside the k integral exactly, so |S| never depends on it.
 The pupil bounds the radial domain per sample: a photon of frequency w is
 accepted for external angles theta_min..theta_max, so k runs from
 sin(theta_min) max(w_s, w_i)/c to sin(theta_max) min(w_s, w_i)/c.
+
+The radial integral is a Gauss-Legendre rule in u = k^2 (k dk = du/2), on
+which the mismatch is nearly linear. Its order adapts: it starts at 8 nodes
+and doubles until two successive orders agree within QUADRATURE_RTOL, with
+the grid's radial_points as the cap.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +41,9 @@ from .units import C_UM_FS, wavelength_nm_from_omega
 
 QUADRATURE_RTOL = 1e-3  # relative change allowed between radial refinements
 EDGE_FLOOR = 1e-3       # |S| at the grid edge must stay below this times peak
+# work cap on omega_points x radial_points: the largest array of the final
+# radial doubling (omega x 2 radial x 8 B) stays within 256 MiB
+MAX_GRID_SAMPLES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -56,11 +66,16 @@ class GridSpec:
 
     omega_points: int = 2048
     omega_half_span: float = 0.55  # rad/fs around the degenerate frequency
-    radial_points: int = 256
+    radial_points: int = 256       # cap of the adaptive radial order
 
     def __post_init__(self):
         if self.omega_points < 16 or self.radial_points < 4:
             raise ValidationError("grid too small")
+        if self.omega_points * self.radial_points > MAX_GRID_SAMPLES:
+            raise ValidationError(
+                f"grid of {self.omega_points} x {self.radial_points} omega x radial "
+                f"points exceeds the work cap of {MAX_GRID_SAMPLES} samples"
+            )
         if self.omega_half_span <= 0:
             raise ValidationError("omega_half_span must be > 0")
 
@@ -124,8 +139,8 @@ class SpectralAmplitude:
         return float(self.omega_grid[1] - self.omega_grid[0])
 
 
-def _crystal_kernel(crystal, omega_grid, k_perp, pump_omega):
-    """sinc(beta) for one crystal over (omega, k) sample blocks."""
+def _crystal_kernel(crystal, omega_grid, k_perp_sq, pump_omega):
+    """sinc(beta) for one crystal over (omega, k_perp^2) sample blocks."""
     lam_nm = wavelength_nm_from_omega(omega_grid)
     n = refractive_index(crystal.material, lam_nm, crystal.temperature_C)
     k_s = n * omega_grid / C_UM_FS          # full wavevector at w_s
@@ -134,11 +149,20 @@ def _crystal_kernel(crystal, omega_grid, k_perp, pump_omega):
         crystal.material, wavelength_nm_from_omega(pump_omega), crystal.temperature_C
     )
     k_p = n_p * pump_omega / C_UM_FS
-    kz_s = np.sqrt(k_s[:, None] ** 2 - k_perp ** 2)
-    kz_i = np.sqrt(k_i[:, None] ** 2 - k_perp ** 2)
+    kz_s = np.sqrt(k_s[:, None] ** 2 - k_perp_sq)
+    kz_i = np.sqrt(k_i[:, None] ** 2 - k_perp_sq)
     dk = k_p - kz_s - kz_i - crystal.grating_k
     beta = dk * (crystal.length_mm * 1000.0) / 2.0
     return np.sinc(beta / np.pi)
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_rule(n):
+    """Gauss-Legendre nodes and weights of order n, as read-only arrays."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _bare_amplitude(config, radial_points):
@@ -149,19 +173,19 @@ def _bare_amplitude(config, radial_points):
     sin_hi = np.sin(config.pupil.theta_max_ext_rad)
     k_lo = sin_lo * np.maximum(grid, omega_i) / C_UM_FS
     k_hi = sin_hi * np.minimum(grid, omega_i) / C_UM_FS
-    width = k_hi - k_lo
-    open_pupil = width > 0
-    nodes, weights = np.polynomial.legendre.leggauss(radial_points)
-    # map nodes onto [k_lo, k_hi] per frequency sample; closed rows get a
-    # degenerate map and are zeroed afterwards
-    half = 0.5 * np.where(open_pupil, width, 0.0)
-    mid = np.where(open_pupil, 0.5 * (k_lo + k_hi), k_lo)
-    k = mid[:, None] + half[:, None] * nodes[None, :]
+    open_pupil = k_hi > k_lo
+    nodes, weights = _gauss_rule(radial_points)
+    # map nodes onto [k_lo^2, k_hi^2] per frequency sample; closed rows get
+    # a degenerate map and are zeroed afterwards
+    u_lo, u_hi = k_lo ** 2, k_hi ** 2
+    half = 0.5 * np.where(open_pupil, u_hi - u_lo, 0.0)
+    mid = np.where(open_pupil, 0.5 * (u_lo + u_hi), u_lo)
+    u = mid[:, None] + half[:, None] * nodes[None, :]
 
-    s1 = _crystal_kernel(config.dc_crystal, grid, k, config.pump_omega)
-    s2 = _crystal_kernel(config.uc_crystal, grid, k, config.pump_omega)
-    integrand = s1 * s2 * k
-    values = 2.0 * np.pi * half * (integrand * weights[None, :]).sum(axis=1)
+    s1 = _crystal_kernel(config.dc_crystal, grid, u, config.pump_omega)
+    s2 = _crystal_kernel(config.uc_crystal, grid, u, config.pump_omega)
+    # 2 pi int k dk f = pi int du f
+    values = np.pi * half * (s1 * s2 * weights[None, :]).sum(axis=1)
     values = values.astype(complex)
     values[~open_pupil] = 0.0
     return SpectralAmplitude(grid, values, config.pump_omega)
@@ -188,23 +212,32 @@ def _relative_change(coarse, fine):
 def kernel_amplitude(config, radial_levels=None):
     """S(w_s) for zero added spectral phase, radially converged.
 
-    Computes the integral at the configured radial order and at twice that
-    order; raises ConvergenceError (carrying the finer estimate) if they
-    disagree by more than 0.1% of the peak. Also enforces that the grid is
-    wide enough for the spectrum to decay at the edges. When a dict is
-    given as radial_levels, both evaluations are stored in it by radial
-    order, for quadrature_refine to reuse.
+    Starts at min(8, radial_points) radial nodes and doubles the order
+    until two successive orders differ by at most 0.1% of the peak, then
+    returns the finer one. radial_points caps the coarser order of a pair:
+    if the gate still fails at radial_points -> 2 radial_points, raises
+    ConvergenceError carrying the finer estimate. Also enforces that the
+    grid is wide enough for the spectrum to decay at the edges. When a
+    dict is given as radial_levels, every evaluation is stored in it by
+    radial order, for quadrature_refine to reuse.
     """
-    coarse = _bare_amplitude(config, config.grid.radial_points)
-    fine = _bare_amplitude(config, 2 * config.grid.radial_points)
-    if radial_levels is not None:
-        radial_levels[config.grid.radial_points] = coarse
-        radial_levels[2 * config.grid.radial_points] = fine
-    change = _relative_change(coarse, fine)
+    levels = {} if radial_levels is None else radial_levels
+    cap = config.grid.radial_points
+    pts = min(8, cap)
+    coarse = levels[pts] = _bare_amplitude(config, pts)
+    while True:
+        fine = levels[2 * pts] = _bare_amplitude(config, 2 * pts)
+        change = _relative_change(coarse, fine)
+        if change <= QUADRATURE_RTOL or pts >= cap:
+            break
+        pts, coarse = 2 * pts, fine
+        if pts > cap:  # a cap off the doubling ladder is the last coarse order
+            pts = cap
+            coarse = levels[cap] = _bare_amplitude(config, cap)
     if change > QUADRATURE_RTOL:
         raise ConvergenceError(
             f"radial quadrature changed by {change:.2e} on refinement "
-            f"({config.grid.radial_points} -> {2 * config.grid.radial_points} points)",
+            f"({pts} -> {2 * pts} points)",
             estimate=fine,
         )
     peak = np.max(np.abs(fine.values))
@@ -230,11 +263,11 @@ def apply_spectral_phase(amplitude, phi_s, phi_i):
     if not (np.all(np.isfinite(phi_s)) and np.all(np.isfinite(phi_i))):
         raise ValidationError("spectral phases must be finite")
     total = phi_s + phi_i[::-1]
-    return SpectralAmplitude(
-        amplitude.omega_grid,
-        amplitude.values * np.exp(1j * total),
-        amplitude.pump_omega,
-    )
+    # the grid was checked when the input was made, and a finite value
+    # times exp(i finite) is finite, so the result needs no new checks
+    dressed = copy.copy(amplitude)
+    dressed.values = amplitude.values * np.exp(1j * total)
+    return dressed
 
 
 @dataclass
@@ -270,12 +303,16 @@ def quadrature_refine(config, levels=2, radial_levels=None):
     Report-only; each entry is (points_before, max relative change against
     the doubled evaluation, measured against the finer peak). radial_levels
     maps radial orders to evaluations on the configured frequency grid that
-    are already computed, as kernel_amplitude stores them; each missing
-    level is computed once.
+    are already computed, as kernel_amplitude stores them; the ladder then
+    starts at the coarser order of the pair that passed the kernel's gate
+    (half the highest stored order), else at radial_points, and each
+    missing level is computed once. The frequency refinement runs at the
+    ladder's first order.
     """
     if levels < 2:
         raise ValidationError("levels must be >= 2")
     known = dict(radial_levels or {})
+    start = max(known) // 2 if known else config.grid.radial_points
 
     def radial(pts):
         if pts not in known:
@@ -283,7 +320,7 @@ def quadrature_refine(config, levels=2, radial_levels=None):
         return known[pts]
 
     radial_steps = []
-    pts = config.grid.radial_points
+    pts = start
     for _ in range(levels - 1):
         radial_steps.append((pts, _relative_change(radial(pts), radial(2 * pts))))
         pts *= 2
@@ -293,11 +330,11 @@ def quadrature_refine(config, levels=2, radial_levels=None):
     # coarse sampling interpolates the newly exposed midpoints
     omega_steps = []
     n = config.grid.omega_points
-    prev = radial(config.grid.radial_points)
+    prev = radial(start)
     for _ in range(levels - 1):
         n_fine = 2 * n - 1  # half spacing, same span: old samples are a subset
         cfg = replace(config, grid=replace(config.grid, omega_points=n_fine))
-        fine = _bare_amplitude(cfg, config.grid.radial_points)
+        fine = _bare_amplitude(cfg, start)
         midpoints = fine.values[1::2]
         interpolated = 0.5 * (prev.values[:-1] + prev.values[1:])
         change = float(
@@ -340,10 +377,14 @@ def bandwidth_fwhm_nm(amplitude):
 
 def write_spectrum_csv(amplitude, path):
     """Dump S(w): omega, wavelength, real, imaginary, squared magnitude."""
+    omega = amplitude.omega_grid
+    rows = zip(
+        omega.tolist(), wavelength_nm_from_omega(omega).tolist(), amplitude.values.tolist()
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("omega_rad_per_fs,wavelength_nm,re_S,im_S,abs2_S\n")
-        for w, v in zip(amplitude.omega_grid, amplitude.values):
-            lam = wavelength_nm_from_omega(w)
-            fh.write(
-                f"{w:.17g},{lam:.17g},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}\n"
-            )
+        # Python's abs(complex), not np.abs: the two differ in the last bit
+        fh.write("".join(
+            f"{w:.17g},{lam:.17g},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}\n"
+            for w, lam, v in rows
+        ))

@@ -74,6 +74,55 @@ def test_vmask_has_heavy_tails():
     assert tail / m.peak_rate > 1e-4
 
 
+def random_amplitude(n, seed, half_span=0.55):
+    """Seeded random complex spectrum under a Gaussian envelope."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(n, half_span, 16).omega_grid(PUMP_OMEGA)
+    vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vals *= np.exp(-((np.arange(n) - (n - 1) / 2.0) / (0.3 * n)) ** 2)
+    return SpectralAmplitude(grid, vals, PUMP_OMEGA)
+
+
+@pytest.mark.parametrize("span, step", [(150.0, 0.35), (500.0, 0.35)])
+@pytest.mark.parametrize("n", [64, 65, 2048, 2049, 2793])
+def test_vmask_chirp_z_matches_direct_sum(n, span, step):
+    S = random_amplitude(n, seed=n)
+    tr = trace(S, KERNEL_V_MASK, tau_span_fs=span, tau_step_fs=step)
+    # oracle: the folded kernel exp(-i |w - w_p/2| tau) summed directly
+    mu = np.abs(S.omega_grid - PUMP_OMEGA / 2.0)
+    direct = np.array(
+        [np.abs(np.sum(S.values * np.exp(-1j * t * mu)) * S.domega) ** 2
+         for t in tr.tau_grid]
+    )
+    assert tr.tau_grid.size == 2 * int(np.floor(span / step + 1e-9)) + 1
+    assert np.max(np.abs(tr.rate - direct)) <= 1e-10 * direct.max()
+    assert tr.energy == np.trapezoid(tr.rate, tr.tau_grid)
+
+
+@pytest.mark.parametrize(
+    "n, span, step",
+    [(64, 60.0, 0.35), (65, 150.0, 0.35), (1000, 100.0, 0.1),
+     (2048, 150.0, 0.35), (2049, 40.0, 0.05)],
+)
+def test_signal_delay_trace_bit_identical_to_fftfreq_construction(n, span, step):
+    S = random_amplitude(n, seed=n + 1)
+    tr = trace(S, tau_span_fs=span, tau_step_fs=step)
+    # oracle: the full-length fftfreq grid, masked to the span and sorted
+    dom = S.domega
+    pad = 8
+    while 2.0 * np.pi / (n * pad * dom) > step:
+        pad *= 2
+    m = n * pad
+    rate = np.abs(np.fft.fft(S.values, n=m) * dom) ** 2
+    tau = 2.0 * np.pi * np.fft.fftfreq(m, d=dom)
+    dtau = 2.0 * np.pi / (m * dom)
+    keep = np.abs(tau) <= span + dtau * 1e-9
+    order = np.argsort(tau[keep])
+    np.testing.assert_array_equal(tr.tau_grid, tau[keep][order])
+    np.testing.assert_array_equal(tr.rate, rate[keep][order])
+    assert tr.energy == float(rate.sum() * dtau)
+
+
 def test_dft_matches_direct_summation_oracle():
     # 64-sample spectrum, brute-force kernel sum at the trace's own grid
     rng = np.random.default_rng(11)

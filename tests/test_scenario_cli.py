@@ -433,3 +433,15 @@ def test_non_positive_values_rejected_at_parse_citing_line(text, words):
         parse_scenario_text(text, source="bad.scn")
     assert str(err.value).startswith("bad.scn:2: ")
     assert words in str(err.value)
+
+
+def test_cli_grid_over_work_cap_exits_2_before_any_work(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["trace", "--scenario", "fig3a", "--grid-scale", "1e9", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    errors = [l for l in result.output.splitlines() if l.lower().startswith("error:")]
+    assert len(errors) == 1 and "work cap" in errors[0]
+    assert "Traceback" not in result.output
+    assert not out.exists()

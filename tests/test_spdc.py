@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,8 +163,9 @@ def test_refinement_reuses_levels_the_kernel_computed(poling_period, monkeypatch
     cfg = small_config(poling_period)
     levels = {}
     kernel_amplitude(cfg, levels)
-    assert sorted(levels) == [64, 128]
-    expected = quadrature_refine(cfg, levels=3).lines()
+    assert sorted(levels) == [8, 16]
+    fresh = {pts: _bare_amplitude(cfg, pts) for pts in levels}
+    expected = quadrature_refine(cfg, levels=3, radial_levels=fresh).lines()
     orders = []
 
     def counted(config, radial_points):
@@ -172,8 +174,69 @@ def test_refinement_reuses_levels_the_kernel_computed(poling_period, monkeypatch
 
     monkeypatch.setattr(spdc, "_bare_amplitude", counted)
     assert quadrature_refine(cfg, levels=3, radial_levels=levels).lines() == expected
-    # only the 256-point radial level and the two frequency refinements are new
-    assert orders == [(256, 256), (511, 64), (1021, 64)]
+    # the ladder starts at the order the kernel's gate passed (8 -> 16); only
+    # the 32-point radial level and the two frequency refinements are new
+    assert orders == [(256, 32), (511, 8), (1021, 8)]
+
+
+def test_kernel_order_doubles_from_8_to_the_first_passing_pair(poling_period):
+    cfg = small_config(poling_period, radial=64, omega=256, half_span=0.25)
+    cfg = replace(cfg, uc_crystal=replace(cfg.uc_crystal, length_mm=20.0))
+    levels = {}
+    result = kernel_amplitude(cfg, levels)
+    orders = sorted(levels)
+    assert orders == [8 * 2 ** i for i in range(len(orders))] and len(orders) > 2
+    changes = [
+        spdc._relative_change(levels[a], levels[b]) for a, b in zip(orders, orders[1:])
+    ]
+    assert all(c > spdc.QUADRATURE_RTOL for c in changes[:-1])
+    assert changes[-1] <= spdc.QUADRATURE_RTOL
+    assert result is levels[orders[-1]]
+    reference = _bare_amplitude(cfg, 1024).values
+    peak = np.max(np.abs(reference))
+    assert np.max(np.abs(result.values - reference)) <= 1e-10 * peak
+
+
+def test_kernel_matches_high_order_rule_on_default_grid(default_config, default_kernel):
+    reference = _bare_amplitude(default_config, 1024).values
+    peak = np.max(np.abs(reference))
+    assert np.max(np.abs(default_kernel.values - reference)) <= 1e-10 * peak
+
+
+def test_kernel_order_cap_raises_with_estimate_at_twice_the_cap(poling_period):
+    cfg = small_config(poling_period, radial=4, omega=512, half_span=0.55)
+    levels = {}
+    with pytest.raises(ConvergenceError, match=r"\(4 -> 8 points\)") as err:
+        kernel_amplitude(cfg, levels)
+    assert sorted(levels) == [4, 8]
+    np.testing.assert_array_equal(err.value.estimate.values, _bare_amplitude(cfg, 8).values)
+
+
+def test_kernel_cap_off_the_doubling_ladder_is_the_last_coarse_order(poling_period):
+    # this kernel fails the gate at 8 -> 16 and passes at 16 -> 32 (above)
+    cfg = small_config(poling_period, radial=12, omega=256, half_span=0.25)
+    cfg = replace(cfg, uc_crystal=replace(cfg.uc_crystal, length_mm=20.0))
+    levels = {}
+    result = kernel_amplitude(cfg, levels)
+    assert sorted(levels) == [8, 12, 16, 24]
+    assert result is levels[24]
+
+
+def test_gauss_rule_is_computed_once_and_read_only():
+    nodes, weights = spdc._gauss_rule(16)
+    assert spdc._gauss_rule(16)[0] is nodes
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+
+
+def test_grid_work_cap_rejects_before_allocation():
+    with pytest.raises(ValidationError, match="work cap"):
+        GridSpec(omega_points=10 ** 9)
+    with pytest.raises(ValidationError, match="work cap"):
+        GridSpec().scaled(1e9)
+    # the largest benchmark grid, above every bundled one, stays admitted
+    GridSpec(omega_points=4096, radial_points=512)
+    assert 2 * spdc.MAX_GRID_SAMPLES * 8 <= 256 * 2 ** 20
 
 
 def test_refinement_rejects_single_level(default_config):
