@@ -209,31 +209,53 @@ def _relative_change(coarse, fine):
     return float(np.max(np.abs(fine.values - coarse.values)) / scale)
 
 
+def _level(config, levels, pts):
+    """Evaluation at radial order pts, computed once into levels."""
+    if pts not in levels:
+        levels[pts] = _bare_amplitude(config, pts)
+    return levels[pts]
+
+
+def _radial_ladder(config, levels):
+    """Adaptive radial order, the one path kernel_amplitude and
+    quadrature_refine share.
+
+    Starts at min(8, radial_points) radial nodes and doubles the order
+    until two successive orders differ by at most QUADRATURE_RTOL of the
+    peak or the coarser order reaches radial_points, the cap; a cap off the
+    doubling ladder is the last coarse order. Evaluations are taken from
+    and stored in levels by radial order. Returns the coarser order of the
+    last pair, the change across it and the finer evaluation.
+    """
+    cap = config.grid.radial_points
+    pts = min(8, cap)
+    coarse = _level(config, levels, pts)
+    while True:
+        fine = _level(config, levels, 2 * pts)
+        change = _relative_change(coarse, fine)
+        if change <= QUADRATURE_RTOL or pts >= cap:
+            return pts, change, fine
+        pts, coarse = 2 * pts, fine
+        if pts > cap:
+            pts = cap
+            coarse = _level(config, levels, cap)
+
+
 def kernel_amplitude(config, radial_levels=None):
     """S(w_s) for zero added spectral phase, radially converged.
 
-    Starts at min(8, radial_points) radial nodes and doubles the order
-    until two successive orders differ by at most 0.1% of the peak, then
-    returns the finer one. radial_points caps the coarser order of a pair:
-    if the gate still fails at radial_points -> 2 radial_points, raises
-    ConvergenceError carrying the finer estimate. Also enforces that the
-    grid is wide enough for the spectrum to decay at the edges. When a
-    dict is given as radial_levels, every evaluation is stored in it by
-    radial order, for quadrature_refine to reuse.
+    Runs the adaptive radial order and returns the finer evaluation of the
+    first pair that differs by at most 0.1% of the peak. If the gate still
+    fails at radial_points -> 2 radial_points, raises ConvergenceError
+    carrying the finer estimate. Also enforces that the grid is wide enough
+    for the spectrum to decay at the edges. When a dict is given as
+    radial_levels, every evaluation is stored in it by radial order, for
+    quadrature_refine to reuse.
     """
-    levels = {} if radial_levels is None else radial_levels
-    cap = config.grid.radial_points
-    pts = min(8, cap)
-    coarse = levels[pts] = _bare_amplitude(config, pts)
-    while True:
-        fine = levels[2 * pts] = _bare_amplitude(config, 2 * pts)
-        change = _relative_change(coarse, fine)
-        if change <= QUADRATURE_RTOL or pts >= cap:
-            break
-        pts, coarse = 2 * pts, fine
-        if pts > cap:  # a cap off the doubling ladder is the last coarse order
-            pts = cap
-            coarse = levels[cap] = _bare_amplitude(config, cap)
+    levels = {}
+    pts, change, fine = _radial_ladder(config, levels)
+    if radial_levels is not None:
+        radial_levels.update(levels)
     if change > QUADRATURE_RTOL:
         raise ConvergenceError(
             f"radial quadrature changed by {change:.2e} on refinement "
@@ -301,40 +323,38 @@ def quadrature_refine(config, levels=2, radial_levels=None):
     """Refinement ladder: double radial and frequency sampling independently.
 
     Report-only; each entry is (points_before, max relative change against
-    the doubled evaluation, measured against the finer peak). radial_levels
-    maps radial orders to evaluations on the configured frequency grid that
-    are already computed, as kernel_amplitude stores them; the ladder then
-    starts at the coarser order of the pair that passed the kernel's gate
-    (half the highest stored order), else at radial_points, and each
-    missing level is computed once. The frequency refinement runs at the
-    ladder's first order.
+    the doubled evaluation, measured against the finer peak). The radial
+    ladder starts at the order where the kernel's adaptive order stopped
+    (the coarser order of its last pair) and the frequency refinement runs
+    at the order the kernel returns. radial_levels maps radial orders to
+    evaluations on the configured frequency grid that kernel_amplitude
+    already computed for this config; they are reused and each missing
+    level is computed once.
     """
     if levels < 2:
         raise ValidationError("levels must be >= 2")
     known = dict(radial_levels or {})
-    start = max(known) // 2 if known else config.grid.radial_points
-
-    def radial(pts):
-        if pts not in known:
-            known[pts] = _bare_amplitude(config, pts)
-        return known[pts]
+    start, _, prev = _radial_ladder(config, known)
 
     radial_steps = []
     pts = start
     for _ in range(levels - 1):
-        radial_steps.append((pts, _relative_change(radial(pts), radial(2 * pts))))
+        change = _relative_change(_level(config, known, pts), _level(config, known, 2 * pts))
+        radial_steps.append((pts, change))
         pts *= 2
 
     # frequency samples are computed independently, so refining the grid
     # cannot move existing values; resolution is judged by how well the
     # coarse sampling interpolates the newly exposed midpoints
     omega_steps = []
+    order = 2 * start
     n = config.grid.omega_points
-    prev = radial(start)
     for _ in range(levels - 1):
         n_fine = 2 * n - 1  # half spacing, same span: old samples are a subset
-        cfg = replace(config, grid=replace(config.grid, omega_points=n_fine))
-        fine = _bare_amplitude(cfg, start)
+        # the refined grid is capped at the order it evaluates, so the work
+        # cap measures the work done
+        grid = replace(config.grid, omega_points=n_fine, radial_points=order)
+        fine = _bare_amplitude(replace(config, grid=grid), order)
         midpoints = fine.values[1::2]
         interpolated = 0.5 * (prev.values[:-1] + prev.values[1:])
         change = float(

@@ -164,8 +164,7 @@ def test_refinement_reuses_levels_the_kernel_computed(poling_period, monkeypatch
     levels = {}
     kernel_amplitude(cfg, levels)
     assert sorted(levels) == [8, 16]
-    fresh = {pts: _bare_amplitude(cfg, pts) for pts in levels}
-    expected = quadrature_refine(cfg, levels=3, radial_levels=fresh).lines()
+    expected = quadrature_refine(cfg, levels=3).lines()
     orders = []
 
     def counted(config, radial_points):
@@ -174,9 +173,30 @@ def test_refinement_reuses_levels_the_kernel_computed(poling_period, monkeypatch
 
     monkeypatch.setattr(spdc, "_bare_amplitude", counted)
     assert quadrature_refine(cfg, levels=3, radial_levels=levels).lines() == expected
-    # the ladder starts at the order the kernel's gate passed (8 -> 16); only
-    # the 32-point radial level and the two frequency refinements are new
-    assert orders == [(256, 32), (511, 8), (1021, 8)]
+    # the ladder starts where the kernel's gate passed (8 -> 16); only the
+    # 32-point radial level and the two frequency refinements, at the
+    # kernel's returned order 16, are new
+    assert orders == [(256, 32), (511, 16), (1021, 16)]
+
+
+def test_refinement_without_levels_starts_at_the_kernel_order(default_config):
+    report = quadrature_refine(default_config, levels=2)
+    assert [pts for pts, _ in report.radial_steps] == [8]
+
+
+def test_refinement_near_the_work_cap_is_capped_at_the_order_it_evaluates(poling_period):
+    # a grid just under the work cap whose doubled frequency grid would
+    # exceed it at the full radial_points; the refinement evaluates only
+    # the kernel's order, so the report is made
+    radial = 1024
+    omega = spdc.MAX_GRID_SAMPLES // radial - 1
+    cfg = small_config(poling_period, radial=radial, omega=omega)
+    assert (2 * omega - 1) * radial > spdc.MAX_GRID_SAMPLES
+    levels = {}
+    kernel_amplitude(cfg, levels)
+    report = quadrature_refine(cfg, radial_levels=levels)
+    assert report.passed
+    assert report.lines()[0].startswith("radial      8 -> 16")
 
 
 def test_kernel_order_doubles_from_8_to_the_first_passing_pair(poling_period):
