@@ -43,7 +43,6 @@ from .errors import (
 )
 from .materials import (
     MaterialModel,
-    SpectralPhase,
     get_material,
     group_delay_dispersion,
     load_materials,

@@ -18,7 +18,6 @@ from .delayscan import rate_at_zero_delay
 from .errors import ValidationError
 from .materials import (
     MaterialModel,
-    SpectralPhase,
     refractive_index,
     spectral_phase_of_slab,
     taylor_dispersion,
@@ -27,6 +26,8 @@ from .spdc import apply_spectral_phase
 from .units import C_UM_FS, wavelength_nm_from_omega
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+SCAN_POINTS = 41      # knob values of the scan before golden-section refinement
+CERTIFY_STEPS = 5.0   # knob tolerances stepped off the optimum to certify it
 
 KNOB_CORRECTION = "correction_gdd_fs2"
 KNOB_INSERTION = "insertion_mm"
@@ -48,7 +49,7 @@ class Slab:
     def phase(self, omega_grid, center_omega):
         return spectral_phase_of_slab(
             self.material, self.thickness_mm, omega_grid, self.temperature_C
-        ).phase
+        )
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class PrismCompressor:
         path_um = 2.0 * self.apex_separation_mm * 1000.0 * np.cos(beam_angle)
         angular = omega_grid * path_um / C_UM_FS
         glass_path_mm = 4 * self.insertion_mm    # one insertion per prism
-        material = spectral_phase_of_slab(self.glass, glass_path_mm, omega_grid).phase
+        material = spectral_phase_of_slab(self.glass, glass_path_mm, omega_grid)
         return angular + material
 
 
@@ -129,14 +130,14 @@ class ElementChain:
 
 
 def chain_phase(chain, omega_grid, center_omega):
-    """Chain phase as a SpectralPhase on the given grid."""
-    return SpectralPhase(omega_grid, chain.phase(omega_grid, center_omega))
+    """Chain phase [rad] on the given grid."""
+    return chain.phase(omega_grid, center_omega)
 
 
 def chain_gdd_fs2(chain, omega_grid, center_omega):
     """Curvature of the chain phase at the center frequency [fs^2]."""
-    ph = chain_phase(chain, omega_grid, center_omega)
-    return taylor_dispersion(ph, center_omega, 2)[1]
+    phase = chain.phase(omega_grid, center_omega)
+    return taylor_dispersion(omega_grid, phase, center_omega, 2)[1]
 
 
 @dataclass
@@ -195,16 +196,14 @@ def knob_objective(amplitude, base_chain, knob):
     return objective
 
 
-def optimize_dispersion(amplitude, base_chain, knob, bracket, scan_points=41):
+def optimize_dispersion(amplitude, base_chain, knob, bracket):
     """Scan then golden-section refine the knob that maximizes R(0).
 
-    The scan is a fixed linspace over the bracket; if its maximum sits on
-    a bracket edge the result is flagged and returned unrefined. Residual
-    GDD is the curvature of the full chain (knob applied) at the
-    degenerate frequency.
+    The scan is SCAN_POINTS evenly spaced values over the bracket; if its
+    maximum sits on a bracket edge the result is flagged and returned
+    unrefined. Residual GDD is the curvature of the full chain (knob
+    applied) at the degenerate frequency.
     """
-    if scan_points < 5:
-        raise ValidationError("scan_points must be >= 5")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValidationError("empty optimization bracket")
@@ -213,14 +212,14 @@ def optimize_dispersion(amplitude, base_chain, knob, bracket, scan_points=41):
     objective = knob_objective(amplitude, base_chain, knob)
     tol = KNOB_TOLERANCES[knob] if knob in KNOB_TOLERANCES else (hi - lo) * 1e-4
 
-    values = np.linspace(lo, hi, scan_points)
+    values = np.linspace(lo, hi, SCAN_POINTS)
     rates = [objective(v) for v in values]
     record = list(zip(values.tolist(), rates))
     i_best = int(np.argmax(rates))
 
     grid = amplitude.omega_grid
     center = amplitude.pump_omega / 2.0
-    if i_best in (0, scan_points - 1):
+    if i_best in (0, SCAN_POINTS - 1):
         best = float(values[i_best])
         chain = with_knob(base_chain, knob, best)
         return OptimizationResult(
@@ -249,11 +248,11 @@ def optimize_dispersion(amplitude, base_chain, knob, bracket, scan_points=41):
     )
 
 
-def certify_local_maximum(amplitude, base_chain, result, factor=5.0):
-    """True when stepping the knob +-factor tolerances off the optimum
-    strictly decreases R(0)."""
+def certify_local_maximum(amplitude, base_chain, result):
+    """True when stepping the knob +-CERTIFY_STEPS tolerances off the
+    optimum strictly decreases R(0)."""
     objective = knob_objective(amplitude, base_chain, result.knob)
-    step = factor * result.tolerance
+    step = CERTIFY_STEPS * result.tolerance
     center = objective(result.optimal_value)
     return (
         objective(result.optimal_value - step) < center

@@ -11,6 +11,7 @@ materials data and the scenario files are read with.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -44,29 +45,6 @@ class MaterialModel:
             raise ValidationError(
                 f"material {self.name!r}: mgln_e requires temperature_terms"
             )
-
-
-@dataclass
-class SpectralPhase:
-    """Accumulated spectral phase [rad] on a uniform angular-frequency grid."""
-
-    omega_grid: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self):
-        self.omega_grid = np.asarray(self.omega_grid, dtype=float)
-        self.phase = np.asarray(self.phase, dtype=float)
-        if self.omega_grid.ndim != 1 or self.omega_grid.size < 2:
-            raise ValidationError("spectral phase grid must be a 1-d array")
-        if self.phase.shape != self.omega_grid.shape:
-            raise ValidationError("phase array does not match its grid")
-        steps = np.diff(self.omega_grid)
-        if not np.all(steps > 0):
-            raise ValidationError("omega grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValidationError("omega grid must be uniform")
-        if not np.all(np.isfinite(self.phase)):
-            raise ValidationError("spectral phase contains non-finite samples")
 
 
 def _rational_terms(material, temperature_C):
@@ -142,7 +120,8 @@ def refractive_index(material, wavelength_nm, temperature_C=20.0):
 
 
 def spectral_phase_of_slab(material, thickness_mm, omega_grid, temperature_C=20.0):
-    """Propagation phase n(w) w z / c through a plane slab, in rad.
+    """Propagation phase n(w) w z / c through a plane slab: an array in rad
+    on omega_grid.
 
     Additive under slab concatenation. thickness_mm >= 0.
     """
@@ -150,12 +129,12 @@ def spectral_phase_of_slab(material, thickness_mm, omega_grid, temperature_C=20.
         raise ValidationError("slab thickness must be >= 0")
     omega_grid = np.asarray(omega_grid, dtype=float)
     if thickness_mm == 0:
-        return SpectralPhase(omega_grid, np.zeros_like(omega_grid))
+        return np.zeros_like(omega_grid)
     lam_nm = wavelength_nm_from_omega(omega_grid)
     _check_range(material, lam_nm)
     n, _, _ = _n_and_derivatives(material, lam_nm / 1000.0, temperature_C)
     z_um = thickness_mm * 1000.0
-    return SpectralPhase(omega_grid, n * omega_grid * z_um / C_UM_FS)
+    return n * omega_grid * z_um / C_UM_FS
 
 
 def group_delay_dispersion(material, thickness_mm, wavelength_nm, temperature_C=20.0):
@@ -171,16 +150,26 @@ def group_delay_dispersion(material, thickness_mm, wavelength_nm, temperature_C=
     return float(z_um * lam_um ** 3 / (2.0 * np.pi * C_UM_FS ** 2) * d2n)
 
 
-def taylor_dispersion(phase, center_omega, max_order):
+def taylor_dispersion(omega_grid, phase, center_omega, max_order):
     """Dispersion orders phi', phi'', ..., phi^(max_order) at center_omega.
 
-    Local polynomial fit to the sampled phase; returns a list of length
-    max_order with entries in fs, fs^2, ... Order 4 is the highest
-    supported.
+    Local polynomial fit to the phase [rad] sampled on a uniform, strictly
+    increasing omega grid; returns a list of length max_order with entries
+    in fs, fs^2, ... Order 4 is the highest supported.
     """
     if not 1 <= max_order <= 4:
         raise ValidationError("max_order must be between 1 and 4")
-    grid = phase.omega_grid
+    grid = np.asarray(omega_grid, dtype=float)
+    phase = np.asarray(phase, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or phase.shape != grid.shape:
+        raise ValidationError("phase and omega grid must be matching 1-d arrays")
+    steps = np.diff(grid)
+    if not np.all(steps > 0):
+        raise ValidationError("omega grid must be strictly increasing")
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValidationError("omega grid must be uniform")
+    if not np.all(np.isfinite(phase)):
+        raise ValidationError("spectral phase contains non-finite samples")
     n = grid.size
     i0 = int(np.argmin(np.abs(grid - center_omega)))
     half = max(12, n // 16)
@@ -193,7 +182,7 @@ def taylor_dispersion(phase, center_omega, max_order):
     x = grid[sel] - center_omega
     scale = x[-1]
     deg = min(max_order + 2, 2 * half)
-    coeffs = np.polynomial.polynomial.polyfit(x / scale, phase.phase[sel], deg)
+    coeffs = np.polynomial.polynomial.polyfit(x / scale, phase[sel], deg)
     out = []
     fact = 1.0
     for k in range(1, max_order + 1):
@@ -341,17 +330,18 @@ def load_materials(path=None):
         return _parse_materials_text(fh.read(), source=str(path))
 
 
-_REGISTRY = None
+@functools.cache
+def bundled_registry():
+    """The bundled material registry, loaded once per process and shared."""
+    return load_materials()
 
 
 def get_material(name):
     """Fetch a material from the bundled registry."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = load_materials()
+    registry = bundled_registry()
     try:
-        return _REGISTRY[name]
+        return registry[name]
     except KeyError:
         raise ValidationError(
-            f"unknown material {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown material {name!r}; available: {sorted(registry)}"
         ) from None

@@ -50,6 +50,13 @@ def _k_full(omega, crystal):
     return n * omega / C_UM_FS
 
 
+def axial_mismatch(k_p, k_s, k_i, k_perp_sq, grating_k):
+    """k_pz - k_sz - k_iz - k_g [rad/um] from the full wavevectors of pump,
+    signal and idler, the squared transverse wavevector they share (the
+    pump is axial) and the grating wavenumber. Broadcasts."""
+    return k_p - np.sqrt(k_s * k_s - k_perp_sq) - np.sqrt(k_i * k_i - k_perp_sq) - grating_k
+
+
 def delta_kz(omega_s, k_perp, crystal, pump_omega):
     """Axial mismatch k_pz - k_sz - k_iz - k_g [rad/um].
 
@@ -65,12 +72,7 @@ def delta_kz(omega_s, k_perp, crystal, pump_omega):
     kp = _k_full(pump_omega, crystal)
     if np.any(k_perp >= ks) or np.any(k_perp >= ki):
         raise ValidationError("evanescent mode in delta_kz")
-    out = (
-        kp
-        - np.sqrt(ks * ks - k_perp ** 2)
-        - np.sqrt(ki * ki - k_perp ** 2)
-        - crystal.grating_k
-    )
+    out = axial_mismatch(kp, ks, ki, k_perp ** 2, crystal.grating_k)
     if out.ndim == 0:
         return float(out)
     return out
@@ -124,8 +126,9 @@ def solve_poling_period(material, pump_omega, temperature_C, bracket_um=POLING_B
     return float(2.0 * np.pi / free_mismatch)
 
 
-def solve_phasematch_temperature(crystal, pump_omega, bracket_C=TEMPERATURE_BRACKET_C):
-    """Temperature [deg C] where the axial degenerate mismatch vanishes."""
+def solve_phasematch_temperature(crystal, pump_omega):
+    """Temperature [deg C] in TEMPERATURE_BRACKET_C where the axial
+    degenerate mismatch vanishes."""
 
     def mismatch(temperature_C):
         spec = CrystalSpec(
@@ -133,7 +136,7 @@ def solve_phasematch_temperature(crystal, pump_omega, bracket_C=TEMPERATURE_BRAC
         )
         return delta_kz(pump_omega / 2.0, 0.0, spec, pump_omega)
 
-    temperature = _bisect(mismatch, bracket_C[0], bracket_C[1], "phasematch temperature")
+    temperature = _bisect(mismatch, *TEMPERATURE_BRACKET_C, "phasematch temperature")
     residual = mismatch(temperature)
     if abs(residual) > SOLVER_TOL_RAD_UM:
         raise SolverError(

@@ -29,7 +29,7 @@ from .dispersionopt import (
     with_knob,
 )
 from .errors import ValidationError
-from .materials import Section, group_delay_dispersion, load_materials, read_sections
+from .materials import Section, bundled_registry, group_delay_dispersion, read_sections
 from .phasematch import CrystalSpec, solve_poling_period
 from .spdc import GridSpec, PupilSpec, SpdcConfig, SpectralAmplitude
 from .units import omega_from_wavelength_nm
@@ -220,13 +220,17 @@ def parse_scenario_text(text, source="<scenario>"):
 
 
 def scenario_path(name):
-    """Resolve a bundled scenario name or a filesystem path."""
-    p = Path(name)
-    if p.exists():
-        return p
+    """Resolve a bundled scenario name or a filesystem path.
+
+    A bundled name (with or without `.scn`) always means the bundled file;
+    a local file of that name is reached by a path such as `./fig3a`.
+    """
     stem = name[:-4] if name.endswith(".scn") else name
     if stem in BUNDLED_SCENARIOS:
         return resources.files("pairtrace.scenarios").joinpath(f"{stem}.scn")
+    p = Path(name)
+    if p.exists():
+        return p
     raise ValidationError(
         f"scenario {name!r} is neither a file nor one of {BUNDLED_SCENARIOS}"
     )
@@ -245,7 +249,6 @@ class BuiltSystem:
     base_chain: ElementChain          # signal chain before optimization
     idler_chain: ElementChain | None  # None = shared with signal
     window_chain: ElementChain        # appended after optimization
-    registry: dict
 
 
 def _instantiate_element(kind, args, registry):
@@ -283,9 +286,10 @@ def _instantiate_element(kind, args, registry):
     )
 
 
-def build_system(scenario, grid_scale=1.0, registry=None):
-    """Instantiate crystals, pupil and element chains from a scenario."""
-    registry = registry if registry is not None else load_materials()
+def build_system(scenario, grid_scale=1.0):
+    """Instantiate crystals, pupil and element chains from a scenario, with
+    materials from the bundled registry."""
+    registry = bundled_registry()
     if scenario.crystal_material not in registry:
         raise ValidationError(
             f"{scenario.name}: unknown crystal material {scenario.crystal_material!r}"
@@ -330,7 +334,7 @@ def build_system(scenario, grid_scale=1.0, registry=None):
         else None
     )
     window = ElementChain(elements_of(scenario.raw_window_elements))
-    return BuiltSystem(config, base, idler, window, registry)
+    return BuiltSystem(config, base, idler, window)
 
 
 @dataclass
@@ -481,8 +485,6 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
     spectrum.
     """
     log = log or (lambda msg: None)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ladder = [(case, load_scenario(name)) for case, name in FIG3_LADDER]
     reference = ladder[0][1]
     radial_levels = {}
@@ -492,6 +494,8 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
         raise ValidationError(
             f"{reference.name}: the ladder needs a dispersion optimum inside the scan bracket"
         )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     log(
         f"optimum correction {optimization.optimal_value:.2f} fs^2, residual "
         f"{optimization.residual_gdd_fs2:.2f} fs^2"
@@ -505,7 +509,7 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
     for case, sc in ladder:
         built = system.built
         if sc is not reference:
-            built = build_system(sc, grid_scale, system.built.registry)
+            built = build_system(sc, grid_scale)
         window = built.window_chain
         if shared(sc, built) != shared(reference, system.built) or not all(
             isinstance(e, Slab) for e in window.elements

@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .materials import SpectralPhase, refractive_index
-from .phasematch import CrystalSpec
+from .materials import refractive_index
+from .phasematch import CrystalSpec, axial_mismatch
 from .units import C_UM_FS, wavelength_nm_from_omega
 
 QUADRATURE_RTOL = 1e-3  # relative change allowed between radial refinements
@@ -149,9 +149,7 @@ def _crystal_kernel(crystal, omega_grid, k_perp_sq, pump_omega):
         crystal.material, wavelength_nm_from_omega(pump_omega), crystal.temperature_C
     )
     k_p = n_p * pump_omega / C_UM_FS
-    kz_s = np.sqrt(k_s[:, None] ** 2 - k_perp_sq)
-    kz_i = np.sqrt(k_i[:, None] ** 2 - k_perp_sq)
-    dk = k_p - kz_s - kz_i - crystal.grating_k
+    dk = axial_mismatch(k_p, k_s[:, None], k_i[:, None], k_perp_sq, crystal.grating_k)
     beta = dk * (crystal.length_mm * 1000.0) / 2.0
     return np.sinc(beta / np.pi)
 
@@ -274,12 +272,12 @@ def kernel_amplitude(config, radial_levels=None):
 def apply_spectral_phase(amplitude, phi_s, phi_i):
     """Multiply S by exp(i [phi_s(w_s) + phi_i(w_p - w_s)]).
 
-    Phases are arrays (or SpectralPhase) sampled on the amplitude's own
-    grid; the idler argument w_p - w_s lands exactly on the reflected grid,
-    so the idler phase is the reversed array. |S| is untouched.
+    Phases are arrays sampled on the amplitude's own grid; the idler
+    argument w_p - w_s lands exactly on the reflected grid, so the idler
+    phase is the reversed array. |S| is untouched.
     """
-    phi_s = phi_s.phase if isinstance(phi_s, SpectralPhase) else np.asarray(phi_s, float)
-    phi_i = phi_i.phase if isinstance(phi_i, SpectralPhase) else np.asarray(phi_i, float)
+    phi_s = np.asarray(phi_s, float)
+    phi_i = np.asarray(phi_i, float)
     if phi_s.shape != amplitude.omega_grid.shape or phi_i.shape != phi_s.shape:
         raise ValidationError("spectral phases must be sampled on the amplitude grid")
     if not (np.all(np.isfinite(phi_s)) and np.all(np.isfinite(phi_i))):
@@ -294,11 +292,11 @@ def apply_spectral_phase(amplitude, phi_s, phi_i):
 
 @dataclass
 class ConvergenceReport:
-    """Relative changes per refinement doubling, radial and frequency."""
+    """Relative changes per refinement doubling, radial and frequency; it
+    passes when the last change of each is below QUADRATURE_RTOL."""
 
     radial_steps: list
     omega_steps: list
-    threshold: float = QUADRATURE_RTOL
 
     @property
     def passed(self):
@@ -307,7 +305,7 @@ class ConvergenceReport:
             final.append(self.radial_steps[-1][1])
         if self.omega_steps:
             final.append(self.omega_steps[-1][1])
-        return bool(final) and max(final) < self.threshold
+        return bool(final) and max(final) < QUADRATURE_RTOL
 
     def lines(self):
         out = []
@@ -315,7 +313,7 @@ class ConvergenceReport:
             out.append(f"radial {pts:>6d} -> {2 * pts:<6d} max-change {change:.3e}")
         for pts, change in self.omega_steps:
             out.append(f"omega  {pts:>6d} -> {2 * pts - 1:<6d} max-change {change:.3e}")
-        out.append(f"threshold {self.threshold:.1e}  passed {self.passed}")
+        out.append(f"threshold {QUADRATURE_RTOL:.1e}  passed {self.passed}")
         return out
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pairtrace import (
-    SpectralPhase,
     ValidationError,
     WavelengthRangeError,
     get_material,
@@ -72,15 +71,15 @@ def test_zero_thickness_gives_zero_phase():
     m = get_material("fused_silica")
     grid = omega_grid_around(1064.0)
     ph = spectral_phase_of_slab(m, 0.0, grid)
-    assert np.all(ph.phase == 0.0)
+    assert np.all(ph == 0.0)
 
 
 def test_slab_phase_additivity():
     m = get_material("fused_silica")
     grid = omega_grid_around(1064.0)
     one = spectral_phase_of_slab(m, 6.0, grid)
-    two = spectral_phase_of_slab(m, 3.0, grid).phase + spectral_phase_of_slab(m, 3.0, grid).phase
-    np.testing.assert_allclose(two, one.phase, rtol=1e-12)
+    two = spectral_phase_of_slab(m, 3.0, grid) + spectral_phase_of_slab(m, 3.0, grid)
+    np.testing.assert_allclose(two, one, rtol=1e-12)
 
 
 def test_slab_phase_range_error():
@@ -97,7 +96,7 @@ def test_slab_phase_magnitude():
     ph = spectral_phase_of_slab(m, 2.0, grid)
     lam_nm = 2 * np.pi * 299.792458 / 1.75
     n = refractive_index(m, lam_nm)
-    assert ph.phase[1] == pytest.approx(n * 1.75 * 2000.0 / C_UM_FS, rel=1e-12)
+    assert ph[1] == pytest.approx(n * 1.75 * 2000.0 / C_UM_FS, rel=1e-12)
 
 
 # ---------------------------------------------------------------- curvature
@@ -129,7 +128,7 @@ def test_gdd_consistent_with_finite_difference_of_slab_phase():
         for lam in (900.0, 1064.0, 1250.0):
             w0 = omega_from_wavelength_nm(lam)
             grid = w0 + np.array([-2, -1, 0, 1, 2]) * h
-            ph = spectral_phase_of_slab(m, 4.0, grid, 50.0).phase
+            ph = spectral_phase_of_slab(m, 4.0, grid, 50.0)
             fd = (-ph[4] + 16 * ph[3] - 30 * ph[2] + 16 * ph[1] - ph[0]) / (12 * h * h)
             an = group_delay_dispersion(m, 4.0, lam, 50.0)
             assert fd == pytest.approx(an, rel=0.01)
@@ -141,8 +140,8 @@ def test_taylor_pure_quadratic():
     grid = omega_grid_around(1064.0, half_span=0.3, n=1201)
     w0 = omega_from_wavelength_nm(1064.0)
     A = 137.0
-    ph = SpectralPhase(grid, 0.5 * A * (grid - w0) ** 2)
-    d1, d2, d3, d4 = taylor_dispersion(ph, w0, 4)
+    ph = 0.5 * A * (grid - w0) ** 2
+    d1, d2, d3, d4 = taylor_dispersion(grid, ph, w0, 4)
     assert d2 == pytest.approx(A, rel=1e-9)
     assert abs(d1) < 1e-9
     assert abs(d3) < 1e-6
@@ -156,19 +155,18 @@ def test_taylor_matches_gdd_for_windows():
     sf10 = get_material("sf10")
     ph_fs = spectral_phase_of_slab(fs, 12.0, grid)
     ph_sf = spectral_phase_of_slab(sf10, 5.0, grid)
-    assert taylor_dispersion(ph_fs, w0, 2)[1] == pytest.approx(198.0, rel=0.02)
-    assert taylor_dispersion(ph_sf, w0, 2)[1] == pytest.approx(513.0, rel=0.02)
+    assert taylor_dispersion(grid, ph_fs, w0, 2)[1] == pytest.approx(198.0, rel=0.02)
+    assert taylor_dispersion(grid, ph_sf, w0, 2)[1] == pytest.approx(513.0, rel=0.02)
     # order-2 agrees with the closed-form curvature route to 1%
-    assert taylor_dispersion(ph_fs, w0, 2)[1] == pytest.approx(
+    assert taylor_dispersion(grid, ph_fs, w0, 2)[1] == pytest.approx(
         group_delay_dispersion(fs, 12.0, 1064.0), rel=0.01
     )
 
 
 def test_taylor_center_on_edge_raises():
     grid = omega_grid_around(1064.0, half_span=0.2, n=401)
-    ph = SpectralPhase(grid, np.zeros_like(grid))
-    with pytest.raises(ValidationError):
-        taylor_dispersion(ph, grid[2], 4)
+    with pytest.raises(ValidationError, match="grid edge"):
+        taylor_dispersion(grid, np.zeros_like(grid), grid[2], 4)
 
 
 # ---------------------------------------------------------------- data file
@@ -218,9 +216,21 @@ def test_materials_data_errors_cite_line(line, words):
 
 
 def test_spectral_phase_grid_validation():
-    with pytest.raises(ValidationError):
-        SpectralPhase(np.array([1.0, 0.9, 1.1]), np.zeros(3))
-    with pytest.raises(ValidationError):
-        SpectralPhase(np.array([1.0, 1.1, 1.3]), np.zeros(3))
-    with pytest.raises(ValidationError):
-        SpectralPhase(np.array([1.0, 1.1, 1.2]), np.array([0.0, np.nan, 0.0]))
+    # taylor_dispersion checks the grid and phase it reads: a decreasing
+    # grid, a non-uniform grid and a NaN phase are each rejected by name
+    grid = omega_grid_around(1064.0, half_span=0.2, n=401)
+    w0 = grid[200]
+    flat = np.zeros_like(grid)
+    assert taylor_dispersion(grid, flat, w0, 2) == [0.0, 0.0]
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        taylor_dispersion(grid[::-1], flat, w0, 2)
+    bent = grid.copy()
+    bent[100] += 0.3 * (grid[1] - grid[0])
+    with pytest.raises(ValidationError, match="uniform"):
+        taylor_dispersion(bent, flat, w0, 2)
+    holed = flat.copy()
+    holed[300] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        taylor_dispersion(grid, holed, w0, 2)
+    with pytest.raises(ValidationError, match="matching 1-d arrays"):
+        taylor_dispersion(grid, flat[:-1], w0, 2)
