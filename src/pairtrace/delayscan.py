@@ -24,6 +24,7 @@ KERNELS = (KERNEL_SIGNAL_DELAY, KERNEL_V_MASK)
 
 MAX_TAU_STEP_FS = 0.5
 MIN_ZERO_PAD = 8
+PEAK_RTOL = 1e-9   # samples this close to the maximum count as the peak
 
 
 @dataclass
@@ -178,14 +179,17 @@ def _half_crossing(tau, rate, start, step, half):
 def metrics(tr):
     """Read peak, FWHM, extrema and the delay integral off a trace.
 
-    FWHM comes from linear interpolation between the samples bracketing
+    The peak is the sample of smallest |tau| among those within PEAK_RTOL
+    of the maximum, the negative one on a tie, so the two equal lobes of a
+    symmetric trace do not trade places on round-off. FWHM comes from linear interpolation between the samples bracketing
     half maximum; extrema from sign changes of the first difference of the
     raw samples (the theoretical traces are noise-free); the integral from
     the trapezoid rule over the trace's own window.
     """
     tau = tr.tau_grid
     rate = tr.rate
-    i_pk = int(np.argmax(rate))
+    near = np.flatnonzero(rate >= rate.max() * (1.0 - PEAK_RTOL))
+    i_pk = int(near[np.argmin(np.abs(tau[near]))])   # tau ascends: -|tau| first
     peak = float(rate[i_pk])
     half = peak / 2.0
 

@@ -215,6 +215,23 @@ def test_metrics_locate_sidelobes():
     assert m.secondary_maxima_fs[1] == pytest.approx(+1.43 / w, abs=0.5)
 
 
+def test_peak_of_two_lobes_equal_to_round_off_is_the_negative_one():
+    tau = np.arange(-300, 301) * 0.25
+    lobe = lambda t0: np.exp(-((tau - t0) / 5.0) ** 2)  # noqa: E731
+    rate = lobe(-40.0) + lobe(40.0)
+    for skew in (1.0 + 4e-16, 1.0 - 4e-16, 1.0 + 5e-10):
+        tilted = rate * np.where(tau > 0, skew, 1.0)
+        m = metrics(UpconversionTrace(tau, tilted, energy=1.0))
+        assert m.peak_tau_fs == -40.0
+        assert m.secondary_maxima_fs == [40.0] and m.minima_fs == [0.0]
+    # a lobe higher by more than the stated tolerance is the peak
+    tilted = rate * np.where(tau > 0, 1.0 + 1e-8, 1.0)
+    assert metrics(UpconversionTrace(tau, tilted, energy=1.0)).peak_tau_fs == 40.0
+    # among samples within the tolerance, the one nearest zero delay wins
+    plateau = np.where(np.abs(tau) <= 10.0, 1.0, 0.5) * (1.0 + 1e-10 * np.abs(tau))
+    assert metrics(UpconversionTrace(tau, plateau, energy=1.0)).peak_tau_fs == 0.0
+
+
 def test_flat_trace_reports_undefined_width():
     tau = np.arange(-100, 101) * 0.5
     rate = np.full(tau.size, 0.7)

@@ -64,6 +64,26 @@ def test_unknown_scenario_name_rejected():
         scenario_path("fig9z")
 
 
+def test_bundled_name_resolves_to_the_bundled_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for local in ("fig3a", "fig3a.scn"):
+        (tmp_path / local).write_text(GAUSS_TEXT)
+    for name in ("fig3a", "fig3a.scn"):
+        path = scenario_path(name)
+        assert path == resources.files("pairtrace.scenarios").joinpath("fig3a.scn")
+        assert load_scenario(name).gaussian_sigma is None
+    # the local files are reached by path
+    for name in ("./fig3a", "./fig3a.scn", str(tmp_path / "fig3a")):
+        assert load_scenario(name).gaussian_sigma == 0.05
+
+
+def test_local_file_does_not_take_over_reproduce_fig3(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig3a").write_text(GAUSS_TEXT)
+    summary = reproduce_fig3(tmp_path / "out", grid_scale=0.5)
+    assert summary["optimization"] is not None and not summary["flags"]
+
+
 def test_pupil_inner_edge_toggle():
     base = "[pupil]\ninner_edge = off\n"
     sc = parse_scenario_text(base, source="p.scn")
@@ -337,6 +357,28 @@ def test_ladder_scenario_with_another_kernel_rejected(tmp_path, monkeypatch):
     with pytest.raises(ValidationError) as err:
         reproduce_fig3(tmp_path / "fig3", grid_scale=0.5)
     assert "must share the kernel and optimum" in str(err.value)
+
+
+def test_cli_reproduce_fig3_failing_build_leaves_no_out(tmp_path):
+    out = tmp_path / "X"
+    result = CliRunner().invoke(
+        main, ["reproduce-fig3", "--grid-scale", "0", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "grid scale" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["fig3c_513", "fig3d_3790"])
+def test_symmetric_trace_peak_reads_the_same_at_both_grid_scales(tmp_path, name):
+    # the two lobes of these traces are equal to round-off; the peak rule
+    # must not let round-off pick the side
+    taus = [
+        run_scenario(name, tmp_path / str(scale), grid_scale=scale).trace_metrics.peak_tau_fs
+        for scale in (1.0, 0.5)
+    ]
+    assert taus[0] < -60.0 and taus[1] < -60.0
+    assert taus[0] == pytest.approx(taus[1], abs=0.35)
 
 
 # ---------------------------------------------------------------- one run path
