@@ -181,10 +181,11 @@ def metrics(tr):
 
     The peak is the sample of smallest |tau| among those within PEAK_RTOL
     of the maximum, the negative one on a tie, so the two equal lobes of a
-    symmetric trace do not trade places on round-off. FWHM comes from linear interpolation between the samples bracketing
-    half maximum; extrema from sign changes of the first difference of the
-    raw samples (the theoretical traces are noise-free); the integral from
-    the trapezoid rule over the trace's own window.
+    symmetric trace do not trade places on round-off. FWHM comes from
+    linear interpolation between the samples bracketing half maximum;
+    extrema from sign changes of the first difference of the raw samples
+    (the theoretical traces are noise-free); the integral from the
+    trapezoid rule over the trace's own window.
     """
     tau = tr.tau_grid
     rate = tr.rate

@@ -164,10 +164,8 @@ def taylor_dispersion(omega_grid, phase, center_omega, max_order):
     if grid.ndim != 1 or grid.size < 2 or phase.shape != grid.shape:
         raise ValidationError("phase and omega grid must be matching 1-d arrays")
     steps = np.diff(grid)
-    if not np.all(steps > 0):
-        raise ValidationError("omega grid must be strictly increasing")
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValidationError("omega grid must be uniform")
+    if not (np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+        raise ValidationError("omega grid must be uniform and strictly increasing")
     if not np.all(np.isfinite(phase)):
         raise ValidationError("spectral phase contains non-finite samples")
     n = grid.size
