@@ -210,7 +210,7 @@ def optimize_dispersion(amplitude, base_chain, knob, bracket):
     if knob == KNOB_INSERTION and lo < 0:
         raise ValidationError(f"insertion bracket must start at >= 0 mm, got {lo:g}")
     objective = knob_objective(amplitude, base_chain, knob)
-    tol = KNOB_TOLERANCES[knob] if knob in KNOB_TOLERANCES else (hi - lo) * 1e-4
+    tol = KNOB_TOLERANCES[knob]
 
     values = np.linspace(lo, hi, SCAN_POINTS)
     rates = [objective(v) for v in values]

@@ -9,7 +9,7 @@ keys (`element_1 = slab material=fused_silica thickness_mm=6`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +29,13 @@ from .dispersionopt import (
     with_knob,
 )
 from .errors import ValidationError
-from .materials import Section, bundled_registry, group_delay_dispersion, read_sections
+from .materials import (
+    MaterialModel,
+    Section,
+    bundled_registry,
+    group_delay_dispersion,
+    read_sections,
+)
 from .phasematch import CrystalSpec, solve_poling_period
 from .spdc import GridSpec, PupilSpec, SpdcConfig, SpectralAmplitude
 from .units import omega_from_wavelength_nm
@@ -80,28 +86,63 @@ _ELEMENT_ARGS = {
 }
 
 
-def _parse_elements(section):
-    """(kind, arguments) per element_N line of a section, in index order."""
+def _material(section, key, default=None):
+    """The bundled material a section key names; an unknown name cites its line."""
+    name = section.word(key, default)
+    registry = bundled_registry()
+    if name not in registry:
+        section.fail(key, f"unknown material {name!r} (registry has {sorted(registry)})")
+    return registry[name]
+
+
+def _elements(section):
+    """The chain elements of a section's element_N lines, in index order."""
     source = section.source
     elements = []
     for key, (value, lineno) in sorted(
         section.body.items(), key=lambda item: int(item[0].removeprefix("element_"))
     ):
+        where = f"{source}:{lineno}"
         parts = value.split()
         if not parts:
-            raise ValidationError(f"{source}:{lineno}: empty element spec")
-        args = {}
+            raise ValidationError(f"{where}: empty element spec")
+        kind = parts[0]
+        if kind not in _ELEMENT_ARGS:
+            raise ValidationError(f"{where}: unknown element kind {kind!r}")
+        body = {}
         for token in parts[1:]:
             if "=" not in token:
-                raise ValidationError(
-                    f"{source}:{lineno}: element argument {token!r} is not key=value"
-                )
+                raise ValidationError(f"{where}: element argument {token!r} is not key=value")
             k, v = token.split("=", 1)
-            if k in args:
-                raise ValidationError(f"{source}:{lineno}: element argument {k!r} given twice")
-            args[k] = (v, lineno)
-        elements.append((parts[0], Section(source, f"element {parts[0]}", args, lineno)))
-    return elements
+            if k in body:
+                raise ValidationError(f"{where}: element argument {k!r} given twice")
+            body[k] = (v, lineno)
+        args = Section(source, f"element {kind}", body, lineno)
+        for k in body:
+            if k not in _ELEMENT_ARGS[kind]:
+                args.fail(k, f"unknown argument; {kind} takes {_ELEMENT_ARGS[kind]}")
+        if kind == "slab":
+            element = Slab(
+                _material(args, "material"),
+                args.number("thickness_mm"),
+                args.number("temperature_C", 20.0),
+            )
+        elif kind == "prism_compressor":
+            auto = args.raw("insertion_mm", "auto") == "auto"
+            element = PrismCompressor(
+                _material(args, "glass"),
+                args.number("apex_separation_mm"),
+                None if auto else args.number("insertion_mm"),
+                design_wavelength_nm=args.number("design_wavelength_nm", 1064.0),
+            )
+        else:
+            element = PhaseCorrection(
+                gdd_fs2=args.number("gdd_fs2", 0.0),
+                tod_fs3=args.number("tod_fs3", 0.0),
+                quartic_fs4=args.number("quartic_fs4", 0.0),
+            )
+        elements.append(element)
+    return tuple(elements)
 
 
 @dataclass
@@ -110,7 +151,7 @@ class Scenario:
 
     name: str
     pump_wavelength_nm: float
-    crystal_material: str
+    crystal_material: MaterialModel
     crystal_length_mm: float
     phasematch_temperature_C: float
     poling_period_um: float | None      # None = solve at the phasematch temperature
@@ -120,9 +161,9 @@ class Scenario:
     theta_max_ext_rad: float
     theta_min_ext_rad: float
     grid: GridSpec
-    raw_elements: list = field(default_factory=list)
-    raw_idler_elements: list | None = None
-    raw_window_elements: list = field(default_factory=list)
+    elements: tuple = ()
+    idler_elements: tuple | None = None   # None = the idler shares the signal path
+    window_elements: tuple = ()
     optimize_knob: str | None = None
     optimize_bracket: tuple = (-200.0, 200.0)
     kernel: str = KERNEL_SIGNAL_DELAY
@@ -188,12 +229,12 @@ def parse_scenario_text(text, source="<scenario>"):
 
     idler_elements = None
     if "elements_idler" in sections:
-        idler_elements = _parse_elements(sec("elements_idler"))
+        idler_elements = _elements(sec("elements_idler"))
 
     return Scenario(
         name=source,
         pump_wavelength_nm=pump.number("wavelength_nm", 532.0),
-        crystal_material=crystals.word("material", "mgln_e"),
+        crystal_material=_material(crystals, "material", "mgln_e"),
         crystal_length_mm=length,
         phasematch_temperature_C=crystals.number("phasematch_temperature_C", 50.0),
         poling_period_um=period,
@@ -207,9 +248,9 @@ def parse_scenario_text(text, source="<scenario>"):
             omega_half_span=grid.number("omega_half_span", 0.55),
             radial_points=grid.integer("radial_points", 256),
         ),
-        raw_elements=_parse_elements(sec("elements")),
-        raw_idler_elements=idler_elements,
-        raw_window_elements=_parse_elements(sec("window")),
+        elements=_elements(sec("elements")),
+        idler_elements=idler_elements,
+        window_elements=_elements(sec("window")),
         optimize_knob=optimize_knob,
         optimize_bracket=optimize_bracket,
         kernel=delay.word("kernel", KERNEL_SIGNAL_DELAY, choices=delayscan.KERNELS),
@@ -251,50 +292,10 @@ class BuiltSystem:
     window_chain: ElementChain        # appended after optimization
 
 
-def _instantiate_element(kind, args, registry):
-    """One chain element from its kind and its arguments (a Section)."""
-    if kind not in _ELEMENT_ARGS:
-        raise ValidationError(f"{args.source}:{args.lineno}: unknown element kind {kind!r}")
-    for key in args.body:
-        if key not in _ELEMENT_ARGS[kind]:
-            args.fail(key, f"unknown argument; {kind} takes {_ELEMENT_ARGS[kind]}")
-
-    def material_of(key):
-        name = args.word(key)
-        if name not in registry:
-            args.fail(key, f"unknown material {name!r} (registry has {sorted(registry)})")
-        return registry[name]
-
-    if kind == "slab":
-        return Slab(
-            material_of("material"),
-            args.number("thickness_mm"),
-            args.number("temperature_C", 20.0),
-        )
-    if kind == "prism_compressor":
-        auto = args.raw("insertion_mm", "auto") == "auto"
-        return PrismCompressor(
-            material_of("glass"),
-            args.number("apex_separation_mm"),
-            None if auto else args.number("insertion_mm"),
-            design_wavelength_nm=args.number("design_wavelength_nm", 1064.0),
-        )
-    return PhaseCorrection(
-        gdd_fs2=args.number("gdd_fs2", 0.0),
-        tod_fs3=args.number("tod_fs3", 0.0),
-        quartic_fs4=args.number("quartic_fs4", 0.0),
-    )
-
-
 def build_system(scenario, grid_scale=1.0):
-    """Instantiate crystals, pupil and element chains from a scenario, with
-    materials from the bundled registry."""
-    registry = bundled_registry()
-    if scenario.crystal_material not in registry:
-        raise ValidationError(
-            f"{scenario.name}: unknown crystal material {scenario.crystal_material!r}"
-        )
-    material = registry[scenario.crystal_material]
+    """Crystals, pupil and element chains of a scenario: solves the poling
+    period and any auto compressor insertion, and adds the half-crystal slabs."""
+    material = scenario.crystal_material
     pump_omega = omega_from_wavelength_nm(scenario.pump_wavelength_nm)
     grid = scenario.grid.scaled(grid_scale)
 
@@ -311,11 +312,7 @@ def build_system(scenario, grid_scale=1.0):
     pupil = PupilSpec(scenario.theta_min_ext_rad, scenario.theta_max_ext_rad)
     config = SpdcConfig(dc, uc, pupil, pump_omega, grid)
 
-    def elements_of(raw):
-        return tuple(_instantiate_element(kind, args, registry) for kind, args in raw)
-
-    def path_chain(raw):
-        elements = elements_of(raw)
+    def path_chain(elements):
         if scenario.half_crystal_phases:
             half = scenario.crystal_length_mm / 2.0
             elements = (Slab(material, half, t_dc),) + elements + (Slab(material, half, t_uc),)
@@ -327,14 +324,9 @@ def build_system(scenario, grid_scale=1.0):
         value = solve_compensating_insertion(omega_grid, pump_omega / 2.0, chain)
         return with_knob(chain, KNOB_INSERTION, value)
 
-    base = path_chain(scenario.raw_elements)
-    idler = (
-        path_chain(scenario.raw_idler_elements)
-        if scenario.raw_idler_elements is not None
-        else None
-    )
-    window = ElementChain(elements_of(scenario.raw_window_elements))
-    return BuiltSystem(config, base, idler, window)
+    base = path_chain(scenario.elements)
+    idler = None if scenario.idler_elements is None else path_chain(scenario.idler_elements)
+    return BuiltSystem(config, base, idler, ElementChain(scenario.window_elements))
 
 
 @dataclass
@@ -480,13 +472,24 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
     Optimizes once on the optimum scenario, then dresses the optimized
     chain with each ladder scenario's window, as in the ladder procedure.
     One kernel and one optimum serve every row, so each ladder scenario
-    must build the same crystals, grid and base chain and scan the same
-    knob. Also runs the v-mask width-ratio check on the bundled Gaussian
-    spectrum.
+    must equal the optimum scenario except in its name, its [window],
+    which may hold only slabs, and its [delay]. Also runs the v-mask
+    width-ratio check on the bundled Gaussian spectrum.
     """
     log = log or (lambda msg: None)
     ladder = [(case, load_scenario(name)) for case, name in FIG3_LADDER]
     reference = ladder[0][1]
+    for _, sc in ladder:
+        rung = replace(
+            sc, name=reference.name, window_elements=reference.window_elements,
+            kernel=reference.kernel, tau_span_fs=reference.tau_span_fs,
+            tau_step_fs=reference.tau_step_fs,
+        )
+        if rung != reference or not all(isinstance(e, Slab) for e in sc.window_elements):
+            raise ValidationError(
+                f"{sc.name}: a ladder scenario must share the kernel and optimum "
+                f"of {reference.name} and add only slabs"
+            )
     radial_levels = {}
     system = build_and_optimize(reference, grid_scale, radial_levels)
     optimization = system.optimization
@@ -501,23 +504,9 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
         f"{optimization.residual_gdd_fs2:.2f} fs^2"
     )
 
-    def shared(sc, built):
-        return (built.config, built.base_chain, built.idler_chain,
-                sc.optimize_knob, sc.optimize_bracket)
-
     rows = []
     for case, sc in ladder:
-        built = system.built
-        if sc is not reference:
-            built = build_system(sc, grid_scale)
-        window = built.window_chain
-        if shared(sc, built) != shared(reference, system.built) or not all(
-            isinstance(e, Slab) for e in window.elements
-        ):
-            raise ValidationError(
-                f"{sc.name}: a ladder scenario must share the kernel and optimum "
-                f"of {reference.name} and add only slabs"
-            )
+        window = ElementChain(sc.window_elements)
         added_gdd = sum(
             (
                 group_delay_dispersion(
@@ -527,7 +516,7 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
             ),
             0.0,
         )
-        amplitude = dress(system.kernel, system.chain, window, built.idler_chain)
+        amplitude = dress(system.kernel, system.chain, window, system.built.idler_chain)
         tr = delayscan.trace(amplitude, sc.kernel, sc.tau_span_fs, sc.tau_step_fs)
         tm = delayscan.metrics(tr)
         delayscan.write_trace_csv(tr, out / f"{case}.csv")

@@ -300,12 +300,7 @@ class ConvergenceReport:
 
     @property
     def passed(self):
-        final = []
-        if self.radial_steps:
-            final.append(self.radial_steps[-1][1])
-        if self.omega_steps:
-            final.append(self.omega_steps[-1][1])
-        return bool(final) and max(final) < QUADRATURE_RTOL
+        return max(self.radial_steps[-1][1], self.omega_steps[-1][1]) < QUADRATURE_RTOL
 
     def lines(self):
         out = []
@@ -317,51 +312,33 @@ class ConvergenceReport:
         return out
 
 
-def quadrature_refine(config, levels=2, radial_levels=None):
-    """Refinement ladder: double radial and frequency sampling independently.
+def quadrature_refine(config, radial_levels=None):
+    """Refinement check: double the radial and the frequency sampling once each.
 
     Report-only; each entry is (points_before, max relative change against
     the doubled evaluation, measured against the finer peak). The radial
-    ladder starts at the order where the kernel's adaptive order stopped
-    (the coarser order of its last pair) and the frequency refinement runs
-    at the order the kernel returns. radial_levels maps radial orders to
-    evaluations on the configured frequency grid that kernel_amplitude
-    already computed for this config; they are reused and each missing
-    level is computed once.
+    doubling is the last pair of the kernel's adaptive order, and the
+    frequency doubling runs at the order the kernel returns. radial_levels
+    maps radial orders to evaluations on the configured frequency grid that
+    kernel_amplitude already computed for this config; they are reused, and
+    each missing level is computed once.
     """
-    if levels < 2:
-        raise ValidationError("levels must be >= 2")
-    known = dict(radial_levels or {})
-    start, _, prev = _radial_ladder(config, known)
-
-    radial_steps = []
-    pts = start
-    for _ in range(levels - 1):
-        change = _relative_change(_level(config, known, pts), _level(config, known, 2 * pts))
-        radial_steps.append((pts, change))
-        pts *= 2
+    start, radial_change, prev = _radial_ladder(config, dict(radial_levels or {}))
 
     # frequency samples are computed independently, so refining the grid
     # cannot move existing values; resolution is judged by how well the
     # coarse sampling interpolates the newly exposed midpoints
-    omega_steps = []
-    order = 2 * start
     n = config.grid.omega_points
-    for _ in range(levels - 1):
-        n_fine = 2 * n - 1  # half spacing, same span: old samples are a subset
-        # the refined grid is capped at the order it evaluates, so the work
-        # cap measures the work done
-        grid = replace(config.grid, omega_points=n_fine, radial_points=order)
-        fine = _bare_amplitude(replace(config, grid=grid), order)
-        midpoints = fine.values[1::2]
-        interpolated = 0.5 * (prev.values[:-1] + prev.values[1:])
-        change = float(
-            np.max(np.abs(interpolated - midpoints)) / np.max(np.abs(fine.values))
-        )
-        omega_steps.append((n, change))
-        n = n_fine
-        prev = fine
-    return ConvergenceReport(radial_steps, omega_steps)
+    order = 2 * start
+    # half spacing, same span: the old samples are a subset; the refined grid
+    # is capped at the order it evaluates, so the work cap measures the work done
+    grid = replace(config.grid, omega_points=2 * n - 1, radial_points=order)
+    fine = _bare_amplitude(replace(config, grid=grid), order)
+    interpolated = 0.5 * (prev.values[:-1] + prev.values[1:])
+    omega_change = float(
+        np.max(np.abs(interpolated - fine.values[1::2])) / np.max(np.abs(fine.values))
+    )
+    return ConvergenceReport([(start, radial_change)], [(n, omega_change)])
 
 
 def bandwidth_fwhm_nm(amplitude):

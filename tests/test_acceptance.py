@@ -282,7 +282,7 @@ def test_criterion_9_property_suite(default_config, default_kernel, optimum, pol
         np.max(np.abs(tr_small.rate - direct)) < 1e-9 * direct.max()
     )
 
-    report = quadrature_refine(default_config, levels=2)
+    report = quadrature_refine(default_config)
     results["quadrature-refinement"] = report.passed
 
     residual = abs(delta_kz(CENTER, 0.0,

@@ -1,4 +1,5 @@
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,9 +108,8 @@ def test_unknown_element_kind_rejected(tmp_path):
     text = GAUSS_TEXT.replace("source = gaussian", "source = spdc") + (
         "\n[elements]\nelement_1 = grating lines_per_mm=1200\n"
     )
-    sc = parse_scenario_text(text, source="g.scn")
     with pytest.raises(ValidationError) as err:
-        build_system(sc)
+        parse_scenario_text(text, source="g.scn")
     assert "grating" in str(err.value)
 
 
@@ -318,9 +318,11 @@ def fig3a_with(old, new):
          "temperatur_C: unknown argument"),
         ("tau_span_fs = 150", "tau_span_fs = nan", 36, "tau_span_fs: not a finite number"),
         ("omega_points = 2048", "omega_pionts = 64", 23, "unknown key 'omega_pionts'"),
+        ("material = mgln_e", "material = unobtainium", 8,
+         "material: unknown material 'unobtainium'"),
     ],
     ids=["insertion_abc", "insertion_inf", "unknown_element_argument", "tau_span_nan",
-         "misspelled_key"],
+         "misspelled_key", "unknown_crystal_material"],
 )
 def test_cli_bad_scenario_value_exits_2_citing_line(tmp_path, old, new, line, words):
     scn = tmp_path / "bad.scn"
@@ -357,6 +359,30 @@ def test_ladder_scenario_with_another_kernel_rejected(tmp_path, monkeypatch):
     with pytest.raises(ValidationError) as err:
         reproduce_fig3(tmp_path / "fig3", grid_scale=0.5)
     assert "must share the kernel and optimum" in str(err.value)
+
+
+def test_ladder_scenario_with_another_source_rejected(tmp_path, monkeypatch):
+    # built systems ignore the source, so only the scenarios tell this rung apart
+    rung = tmp_path / "gauss_rung.scn"
+    rung.write_text(fig3a_with("[delay]", "[spectrum]\nsource = gaussian\n\n[delay]"))
+    monkeypatch.setattr(
+        scenario, "FIG3_LADDER", (("fig3a_optimum", "fig3a"), ("gaussian", str(rung)))
+    )
+    with pytest.raises(ValidationError) as err:
+        reproduce_fig3(tmp_path / "fig3", grid_scale=0.5)
+    assert "must share the kernel and optimum" in str(err.value)
+
+
+def test_ladder_builds_only_the_optimum_and_the_gaussian_run(tmp_path, monkeypatch):
+    built = []
+
+    def counted(sc, grid_scale=1.0):
+        built.append(Path(sc.name).name)
+        return build_system(sc, grid_scale)
+
+    monkeypatch.setattr(scenario, "build_system", counted)
+    reproduce_fig3(tmp_path / "fig3", grid_scale=0.5)
+    assert built == ["fig3a.scn", "gauss_vmask.scn"]
 
 
 def test_cli_reproduce_fig3_failing_build_leaves_no_out(tmp_path):

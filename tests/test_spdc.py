@@ -153,7 +153,7 @@ def test_coarse_radial_grid_raises_convergence_error(poling_period):
 
 
 def test_refinement_ladder_on_default_resolution(default_config):
-    report = quadrature_refine(default_config, levels=2)
+    report = quadrature_refine(default_config)
     assert report.passed
     assert report.radial_steps[-1][1] < 1e-3
     assert report.omega_steps[-1][1] < 1e-3
@@ -164,7 +164,7 @@ def test_refinement_reuses_levels_the_kernel_computed(poling_period, monkeypatch
     levels = {}
     kernel_amplitude(cfg, levels)
     assert sorted(levels) == [8, 16]
-    expected = quadrature_refine(cfg, levels=3).lines()
+    expected = quadrature_refine(cfg).lines()
     orders = []
 
     def counted(config, radial_points):
@@ -172,15 +172,14 @@ def test_refinement_reuses_levels_the_kernel_computed(poling_period, monkeypatch
         return _bare_amplitude(config, radial_points)
 
     monkeypatch.setattr(spdc, "_bare_amplitude", counted)
-    assert quadrature_refine(cfg, levels=3, radial_levels=levels).lines() == expected
-    # the ladder starts where the kernel's gate passed (8 -> 16); only the
-    # 32-point radial level and the two frequency refinements, at the
-    # kernel's returned order 16, are new
-    assert orders == [(256, 32), (511, 16), (1021, 16)]
+    assert quadrature_refine(cfg, radial_levels=levels).lines() == expected
+    # the radial doubling is the kernel's passing pair (8 -> 16), so only
+    # the frequency refinement, at the kernel's returned order 16, is new
+    assert orders == [(511, 16)]
 
 
 def test_refinement_without_levels_starts_at_the_kernel_order(default_config):
-    report = quadrature_refine(default_config, levels=2)
+    report = quadrature_refine(default_config)
     assert [pts for pts, _ in report.radial_steps] == [8]
 
 
@@ -257,11 +256,6 @@ def test_grid_work_cap_rejects_before_allocation():
     # the largest benchmark grid, above every bundled one, stays admitted
     GridSpec(omega_points=4096, radial_points=512)
     assert 2 * spdc.MAX_GRID_SAMPLES * 8 <= 256 * 2 ** 20
-
-
-def test_refinement_rejects_single_level(default_config):
-    with pytest.raises(ValidationError):
-        quadrature_refine(default_config, levels=1)
 
 
 def test_radial_rule_converges_on_gaussian_integrand():
