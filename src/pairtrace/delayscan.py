@@ -1,13 +1,12 @@
 """Delay traces R(tau) from a spectral amplitude, and trace metrics.
 
-The signal-delay kernel exp(-i w tau) turns the trace into the squared
-magnitude of a zero-padded discrete Fourier transform of S. The v-mask
-kernel exp(-i |w - w_p/2| tau) shifts lower- and higher-frequency pair
-members oppositely in time. Folded about w_p/2, the spectrum sits on
-uniform offsets |w - w_p/2|, so the v-mask sum over a uniform delay grid
-is a chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans. Audio
-Electroacoust. 17 (1969) 86), evaluated by one Bluestein convolution
-(Bluestein, ibid. 18 (1970) 451).
+R(tau) = |sum_w S(w) K(w, tau) dw|^2. The signal-delay kernel is
+K = exp(-i w tau). The v-mask kernel exp(-i |w - w_p/2| tau) shifts
+lower- and higher-frequency pair members oppositely in time; folded
+about w_p/2, the spectrum sits on uniform offsets |w - w_p/2|. On a
+uniform delay grid either sum is a chirp-z transform (Rabiner, Schafer &
+Rader, IEEE Trans. Audio Electroacoust. 17 (1969) 86), evaluated by one
+Bluestein convolution (Bluestein, ibid. 18 (1970) 451).
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ PEAK_RTOL = 1e-9   # samples this close to the maximum count as the peak
 class UpconversionTrace:
     """Upconversion rate versus signal/idler delay, arbitrary units.
 
-    `energy` is the delay integral of the rate over the transform's full
-    window, kept for energy-conservation checks independent of the crop.
+    `energy` is the delay integral of the rate, kept for energy-conservation
+    checks: for the signal-delay kernel over the full window 2 pi / dw,
+    independent of the crop; for the v-mask kernel over the trace itself.
     """
 
     tau_grid: np.ndarray
@@ -90,41 +90,30 @@ def _check_step(amplitude, tau_step_fs):
         )
 
 
-def _vmask_rate(amplitude, steps, tau_step_fs):
-    """|sum_w S(w) exp(-i |w - w_p/2| tau_k) dw|^2 at tau_k = k tau_step_fs,
-    k = -steps..steps.
-
-    The offsets |w - w_p/2| are (m + 1/2) dw for an even number of samples
-    and m dw for an odd one, so the folded sum is sum_m F_m W^(k m) with
-    W = exp(-i tau_step dw), up to a unit-modulus factor per k. With
-    k m = (k^2 + m^2 - (k - m)^2) / 2 it becomes the convolution of
-    F_m W^(m^2/2) with W^(-j^2/2), times W^(k^2/2).
+def _chirp_z(coeffs, offset, theta, steps):
+    """sum_m c_m W^(k q), W = exp(-i theta), q = m + offset, at k = -steps..steps,
+    up to a unit-modulus factor per k: with k q = (k^2 + q^2 - (k - q)^2) / 2
+    it is the convolution of c_m W^(q^2/2) with W^(-(k - q)^2/2), times
+    W^(k^2/2). Offsets centred on the spectrum keep the chirp phases, and
+    so their rounding, small.
     """
-    values = amplitude.values
-    mid = values.size // 2
-    folded = values[mid:].copy()           # for odd n, values[mid] is the centre
-    folded[values.size % 2:] += values[mid - 1::-1]
-    # the step from the full span: domega, a difference of neighbours, is
-    # off by ~1e-12 relative, which k m ~ 1e6 would turn into phase error
-    grid = amplitude.omega_grid
-    theta = tau_step_fs * (grid[-1] - grid[0]) / (grid.size - 1)
-    m = np.arange(folded.size)
-    j = np.arange(-(folded.size - 1) - steps, steps + 1)  # every k - m
+    m = np.arange(coeffs.size)
+    j = np.arange(-(coeffs.size - 1) - steps, steps + 1)  # every k - m
     length = 1 << (j.size - 1).bit_length()  # power of two >= j.size
     conv = np.fft.ifft(
-        np.fft.fft(folded * np.exp(-0.5j * theta * m ** 2), length)
-        * np.fft.fft(np.exp(0.5j * theta * j ** 2), length)
+        np.fft.fft(coeffs * np.exp(-0.5j * theta * (m + offset) ** 2), length)
+        * np.fft.fft(np.exp(0.5j * theta * (j - offset) ** 2), length)
     )
-    amps = conv[folded.size - 1:folded.size + 2 * steps] * amplitude.domega
-    return np.abs(amps) ** 2
+    return conv[coeffs.size - 1:coeffs.size + 2 * steps]
 
 
 def trace(amplitude, kernel=KERNEL_SIGNAL_DELAY, tau_span_fs=150.0, tau_step_fs=0.35):
     """Delay trace R(tau) on a symmetric grid covering +-tau_span_fs.
 
-    The signal-delay kernel uses a zero-padded FFT (padding at least 8x,
-    grown until the natural step is <= tau_step_fs); the v-mask kernel is
-    a chirp-z evaluation of the folded sum on the stated grid.
+    Both kernels are one chirp-z evaluation. The signal-delay grid has the
+    step of a zero-padded FFT, 2 pi / (n pad dw), padding at least 8x and
+    grown until the step is <= tau_step_fs; its energy comes from the
+    unpadded n-point FFT. The v-mask grid has the stated step.
     """
     if kernel not in KERNELS:
         raise ValidationError(f"unknown delay kernel {kernel!r}; use one of {KERNELS}")
@@ -132,6 +121,7 @@ def trace(amplitude, kernel=KERNEL_SIGNAL_DELAY, tau_span_fs=150.0, tau_step_fs=
         raise ValidationError("tau span and step must be positive")
     _check_step(amplitude, tau_step_fs)
 
+    values = amplitude.values
     dom = amplitude.domega
     if kernel == KERNEL_SIGNAL_DELAY:
         if tau_span_fs >= np.pi / dom:
@@ -139,28 +129,34 @@ def trace(amplitude, kernel=KERNEL_SIGNAL_DELAY, tau_span_fs=150.0, tau_step_fs=
                 "tau span exceeds the transform window of this frequency grid; "
                 "refine the grid spacing"
             )
-        n = amplitude.omega_grid.size
+        n = values.size
         pad = MIN_ZERO_PAD
         while 2.0 * np.pi / (n * pad * dom) > tau_step_fs:
             pad *= 2
-        m = n * pad
-        spectrum = np.fft.fft(amplitude.values, n=m)
-        spectrum *= dom
-        rate = np.abs(spectrum)
-        np.square(rate, out=rate)
-        dtau = 2.0 * np.pi / (m * dom)
-        energy = float(rate.sum() * dtau)
-        # the bins within the span in ascending order, at fftfreq's own
-        # delays 2 pi (k / (m dom))
+        # the delays of a padded FFT's bins within the span, 2 pi (k / (n pad dom))
+        dtau = 2.0 * np.pi / (n * pad * dom)
         reach = int(tau_span_fs / dtau) + 1
-        k = np.arange(-reach, reach + 1)
-        tau = 2.0 * np.pi * (k * (1.0 / (m * dom)))
-        keep = np.abs(tau) <= tau_span_fs + dtau * 1e-9
-        return UpconversionTrace(tau[keep], rate[k[keep] % m], energy)
+        tau = 2.0 * np.pi * (np.arange(-reach, reach + 1) * (1.0 / (n * pad * dom)))
+        tau = tau[np.abs(tau) <= tau_span_fs + dtau * 1e-9]
+        # offsets centred on the middle sample: w_m - w_p/2 = (m - (n-1)/2) dw
+        amps = _chirp_z(values, -(n - 1) / 2.0, 2.0 * np.pi / (n * pad), tau.size // 2)
+        # the full window's delay integral, sampled exactly by the n-point FFT
+        spectrum = np.abs(np.fft.fft(values) * dom)
+        energy = float(np.sum(spectrum * spectrum) * (2.0 * np.pi / (n * dom)))
+        return UpconversionTrace(tau, np.abs(amps * dom) ** 2, energy)
 
+    # |w - w_p/2| is (m + 1/2) dw for an even number of samples and m dw for
+    # an odd one: fold onto m, the 1/2 is a unit-modulus factor per delay
+    mid = values.size // 2
+    folded = values[mid:].copy()           # for odd n, values[mid] is the centre
+    folded[values.size % 2:] += values[mid - 1::-1]
+    # the step from the full span: domega, a difference of neighbours, is
+    # off by ~1e-12 relative, which k m ~ 1e6 would turn into phase error
+    grid = amplitude.omega_grid
+    theta = tau_step_fs * (grid[-1] - grid[0]) / (grid.size - 1)
     steps = int(np.floor(tau_span_fs / tau_step_fs + 1e-9))
     tau = np.arange(-steps, steps + 1) * tau_step_fs
-    rate = _vmask_rate(amplitude, steps, tau_step_fs)
+    rate = np.abs(_chirp_z(folded, 0, theta, steps) * dom) ** 2
     energy = float(np.trapezoid(rate, tau))
     return UpconversionTrace(tau, rate, energy)
 

@@ -196,6 +196,16 @@ def knob_objective(amplitude, base_chain, knob):
     return objective
 
 
+def knob_bracket(knob, bracket):
+    """The scan bracket (lo, hi) as floats: lo < hi, and lo >= 0 for the insertion."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not hi > lo:
+        raise ValidationError("empty optimization bracket")
+    if knob == KNOB_INSERTION and lo < 0:
+        raise ValidationError(f"insertion bracket must start at >= 0 mm, got {lo:g}")
+    return lo, hi
+
+
 def optimize_dispersion(amplitude, base_chain, knob, bracket):
     """Scan then golden-section refine the knob that maximizes R(0).
 
@@ -204,11 +214,7 @@ def optimize_dispersion(amplitude, base_chain, knob, bracket):
     unrefined. Residual GDD is the curvature of the full chain (knob
     applied) at the degenerate frequency.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise ValidationError("empty optimization bracket")
-    if knob == KNOB_INSERTION and lo < 0:
-        raise ValidationError(f"insertion bracket must start at >= 0 mm, got {lo:g}")
+    lo, hi = knob_bracket(knob, bracket)
     objective = knob_objective(amplitude, base_chain, knob)
     tol = KNOB_TOLERANCES[knob]
 

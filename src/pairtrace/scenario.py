@@ -95,6 +95,17 @@ def _material(section, key, default=None):
     return registry[name]
 
 
+def _checked(section, keys, make, *args):
+    """make(*args); a ValidationError of its range checks cites the line of
+    the key its message names, else of the first of keys the section sets."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        message = str(exc)
+        present = [k for k in keys if k in section.body] or list(keys)
+        section.fail(next((k for k in present if k in message), present[0]), message)
+
+
 def _elements(section):
     """The chain elements of a section's element_N lines, in index order."""
     source = section.source
@@ -122,26 +133,27 @@ def _elements(section):
             if k not in _ELEMENT_ARGS[kind]:
                 args.fail(k, f"unknown argument; {kind} takes {_ELEMENT_ARGS[kind]}")
         if kind == "slab":
-            element = Slab(
+            make, fields = Slab, (
                 _material(args, "material"),
                 args.number("thickness_mm"),
                 args.number("temperature_C", 20.0),
             )
         elif kind == "prism_compressor":
             auto = args.raw("insertion_mm", "auto") == "auto"
-            element = PrismCompressor(
+            make, fields = PrismCompressor, (
                 _material(args, "glass"),
                 args.number("apex_separation_mm"),
                 None if auto else args.number("insertion_mm"),
-                design_wavelength_nm=args.number("design_wavelength_nm", 1064.0),
+                args.number("design_wavelength_nm", 1064.0),
             )
         else:
-            element = PhaseCorrection(
-                gdd_fs2=args.number("gdd_fs2", 0.0),
-                tod_fs3=args.number("tod_fs3", 0.0),
-                quartic_fs4=args.number("quartic_fs4", 0.0),
+            make, fields = PhaseCorrection, tuple(
+                args.number(k, 0.0) for k in _ELEMENT_ARGS[kind]
             )
-        elements.append(element)
+        try:
+            elements.append(make(*fields))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
     return tuple(elements)
 
 
@@ -192,6 +204,9 @@ def parse_scenario_text(text, source="<scenario>"):
         theta_min = pupil.number("theta_min_ext_rad", gap / 2.0 / focal)
     else:
         theta_min = 0.0
+    pupil_keys = ("theta_max_ext_deg", "theta_min_ext_rad", "mirror_gap_mm",
+                  "collimating_focal_mm")
+    _checked(pupil, pupil_keys, PupilSpec, theta_min, theta_max)
 
     period_raw = crystals.raw("poling_period_um", "auto")
     if period_raw == "auto":
@@ -226,6 +241,8 @@ def parse_scenario_text(text, source="<scenario>"):
             choices=(dispersionopt.KNOB_CORRECTION, dispersionopt.KNOB_INSERTION),
         )
         optimize_bracket = opt.numbers("bracket", optimize_bracket, count=2)
+        _checked(opt, ("bracket", "knob"), dispersionopt.knob_bracket,
+                 optimize_knob, optimize_bracket)
 
     idler_elements = None
     if "elements_idler" in sections:
@@ -243,10 +260,11 @@ def parse_scenario_text(text, source="<scenario>"):
         half_crystal_phases=crystals.flag("half_crystal_phases", not gaussian),
         theta_max_ext_rad=theta_max,
         theta_min_ext_rad=theta_min,
-        grid=GridSpec(
-            omega_points=grid.integer("omega_points", 2048),
-            omega_half_span=grid.number("omega_half_span", 0.55),
-            radial_points=grid.integer("radial_points", 256),
+        grid=_checked(
+            grid, _SECTION_KEYS["grid"], GridSpec,
+            grid.integer("omega_points", 2048),
+            grid.number("omega_half_span", 0.55),
+            grid.integer("radial_points", 256),
         ),
         elements=_elements(sec("elements")),
         idler_elements=idler_elements,
@@ -408,18 +426,10 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
     else:
         scenario = load_scenario(name_or_scenario)
     system = build_and_optimize(scenario, grid_scale, log=log)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = {}
     extras = {}
     optimization = system.optimization
     if optimization is not None:
         extras["residual_gdd_fs2"] = f"{optimization.residual_gdd_fs2:.17g}"
-        artifacts["optimization_txt"] = out / "optimization.txt"
-        with open(artifacts["optimization_txt"], "w", encoding="utf-8") as fh:
-            fh.write("\n".join(dispersionopt.optimization_report_lines(optimization)) + "\n")
-        artifacts["scan_csv"] = out / "scan.csv"
-        dispersionopt.write_scan_csv(optimization, artifacts["scan_csv"])
     built = system.built
     amplitude = dress(system.kernel, system.chain, built.window_chain, built.idler_chain)
     extras["bandwidth_fwhm_nm"] = f"{spdc.bandwidth_fwhm_nm(amplitude):.17g}"
@@ -428,6 +438,7 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
     )
     tm = delayscan.metrics(tr)
     extras["peak_to_mean_80fs"] = f"{delayscan.peak_to_mean_ratio(tr):.17g}"
+    ref = None
     if scenario.kernel == KERNEL_V_MASK:
         ref = delayscan.trace(
             amplitude, KERNEL_SIGNAL_DELAY, scenario.tau_span_fs, scenario.tau_step_fs
@@ -435,13 +446,24 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
         ref_m = delayscan.metrics(ref)
         extras["signal_delay_fwhm_fs"] = f"{ref_m.fwhm_fs:.17g}"
         extras["fwhm_ratio_vmask"] = f"{tm.fwhm_fs / ref_m.fwhm_fs:.17g}"
-        artifacts["trace_signal_csv"] = out / "trace_signal.csv"
-        delayscan.write_trace_csv(ref, artifacts["trace_signal_csv"])
 
     extras["rate_zero_delay"] = f"{delayscan.rate_at_zero_delay(amplitude):.17g}"
     if scenario.kernel == KERNEL_SIGNAL_DELAY:
         extras["parseval_discrepancy"] = f"{delayscan.parseval_check(amplitude, tr):.3e}"
 
+    # every stage has run: a failure above leaves no output directory
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts = {}
+    if optimization is not None:
+        artifacts["optimization_txt"] = out / "optimization.txt"
+        with open(artifacts["optimization_txt"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(dispersionopt.optimization_report_lines(optimization)) + "\n")
+        artifacts["scan_csv"] = out / "scan.csv"
+        dispersionopt.write_scan_csv(optimization, artifacts["scan_csv"])
+    if ref is not None:
+        artifacts["trace_signal_csv"] = out / "trace_signal.csv"
+        delayscan.write_trace_csv(ref, artifacts["trace_signal_csv"])
     artifacts["spectrum_csv"] = out / "spectrum.csv"
     spdc.write_spectrum_csv(amplitude, artifacts["spectrum_csv"])
     artifacts["trace_csv"] = out / "trace.csv"

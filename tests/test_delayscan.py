@@ -3,6 +3,7 @@ import pytest
 
 from pairtrace import SamplingError, ValidationError
 from pairtrace.delayscan import (
+    KERNEL_SIGNAL_DELAY,
     KERNEL_V_MASK,
     UpconversionTrace,
     metrics,
@@ -83,20 +84,35 @@ def random_amplitude(n, seed, half_span=0.55):
     return SpectralAmplitude(grid, vals, PUMP_OMEGA)
 
 
-@pytest.mark.parametrize("span, step", [(150.0, 0.35), (500.0, 0.35)])
-@pytest.mark.parametrize("n", [64, 65, 2048, 2049, 2793])
-def test_vmask_chirp_z_matches_direct_sum(n, span, step):
+# (kernel, n, span, step); a 500 fs span exceeds the transform window
+# pi / dw of the signal-delay kernel on a 64-sample grid
+CHIRP_Z_CASES = [
+    pytest.param(kernel, n, span, 0.35, id=f"{prefix}{n}-{span}-0.35")
+    for kernel, prefix in ((KERNEL_V_MASK, ""), (KERNEL_SIGNAL_DELAY, "signal-delay-"))
+    for span in (150.0, 500.0)
+    for n in (64, 65, 2048, 2049, 2793)
+    if kernel == KERNEL_V_MASK or span < 500.0 or n > 65
+]
+
+
+@pytest.mark.parametrize("kernel, n, span, step", CHIRP_Z_CASES)
+def test_vmask_chirp_z_matches_direct_sum(kernel, n, span, step):
     S = random_amplitude(n, seed=n)
-    tr = trace(S, KERNEL_V_MASK, tau_span_fs=span, tau_step_fs=step)
-    # oracle: the folded kernel exp(-i |w - w_p/2| tau) summed directly
-    mu = np.abs(S.omega_grid - PUMP_OMEGA / 2.0)
+    tr = trace(S, kernel, tau_span_fs=span, tau_step_fs=step)
+    # oracle: the kernel exp(-i w tau), folded to exp(-i |w - w_p/2| tau)
+    # for the v-mask, summed directly
+    if kernel == KERNEL_V_MASK:
+        mu = np.abs(S.omega_grid - PUMP_OMEGA / 2.0)
+    else:
+        mu = S.omega_grid
     direct = np.array(
         [np.abs(np.sum(S.values * np.exp(-1j * t * mu)) * S.domega) ** 2
          for t in tr.tau_grid]
     )
-    assert tr.tau_grid.size == 2 * int(np.floor(span / step + 1e-9)) + 1
     assert np.max(np.abs(tr.rate - direct)) <= 1e-10 * direct.max()
-    assert tr.energy == np.trapezoid(tr.rate, tr.tau_grid)
+    if kernel == KERNEL_V_MASK:
+        assert tr.tau_grid.size == 2 * int(np.floor(span / step + 1e-9)) + 1
+        assert tr.energy == np.trapezoid(tr.rate, tr.tau_grid)
 
 
 @pytest.mark.parametrize(
@@ -105,6 +121,8 @@ def test_vmask_chirp_z_matches_direct_sum(n, span, step):
      (2048, 150.0, 0.35), (2049, 40.0, 0.05)],
 )
 def test_signal_delay_trace_bit_identical_to_fftfreq_construction(n, span, step):
+    """The delay grid is the padded FFT's, bit for bit; the rate (a chirp-z)
+    and the energy (the unpadded FFT) agree with it to round-off."""
     S = random_amplitude(n, seed=n + 1)
     tr = trace(S, tau_span_fs=span, tau_step_fs=step)
     # oracle: the full-length fftfreq grid, masked to the span and sorted
@@ -119,8 +137,9 @@ def test_signal_delay_trace_bit_identical_to_fftfreq_construction(n, span, step)
     keep = np.abs(tau) <= span + dtau * 1e-9
     order = np.argsort(tau[keep])
     np.testing.assert_array_equal(tr.tau_grid, tau[keep][order])
-    np.testing.assert_array_equal(tr.rate, rate[keep][order])
-    assert tr.energy == float(rate.sum() * dtau)
+    # measured: rate within 3.9e-14 of the peak, energy within 1.0e-15
+    assert np.max(np.abs(tr.rate - rate[keep][order])) <= 1e-13 * rate.max()
+    assert tr.energy == pytest.approx(float(rate.sum() * dtau), rel=1e-14, abs=0.0)
 
 
 def test_dft_matches_direct_summation_oracle():

@@ -320,9 +320,19 @@ def fig3a_with(old, new):
         ("omega_points = 2048", "omega_pionts = 64", 23, "unknown key 'omega_pionts'"),
         ("material = mgln_e", "material = unobtainium", 8,
          "material: unknown material 'unobtainium'"),
+        # range checks of the element, grid and pupil constructors and the bracket
+        ("apex_separation_mm=352", "apex_separation_mm=-352", 28,
+         "compressor apex separation must be >= 0"),
+        ("[delay]", "[window]\nelement_1 = slab material=fused_silica thickness_mm=-1\n\n[delay]",
+         35, "slab thickness must be >= 0"),
+        ("omega_points = 2048", "omega_points = 8", 23, "omega_points: grid too small"),
+        ("theta_max_ext_deg = 2.0", "theta_max_ext_deg = 10", 17,
+         "theta_max_ext_deg: pupil angles must satisfy"),
+        ("bracket = -200 200", "bracket = 5 -5", 32, "bracket: empty optimization bracket"),
     ],
     ids=["insertion_abc", "insertion_inf", "unknown_element_argument", "tau_span_nan",
-         "misspelled_key", "unknown_crystal_material"],
+         "misspelled_key", "unknown_crystal_material", "apex_negative",
+         "window_slab_negative", "grid_too_small", "pupil_too_wide", "bracket_reversed"],
 )
 def test_cli_bad_scenario_value_exits_2_citing_line(tmp_path, old, new, line, words):
     scn = tmp_path / "bad.scn"
@@ -334,6 +344,18 @@ def test_cli_bad_scenario_value_exits_2_citing_line(tmp_path, old, new, line, wo
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {scn}:{line}: ")
     assert words in lines[0]
+
+
+def test_cli_failing_trace_stage_leaves_no_out(tmp_path):
+    # the signal-delay reference trace of the v-mask run fails: at this
+    # scale the span exceeds the transform window
+    out = tmp_path / "X"
+    result = CliRunner().invoke(
+        main, ["trace", "--scenario", "gauss_vmask", "--grid-scale", "0.01", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "transform window" in result.output
+    assert not out.exists()
 
 
 def test_cli_optimize_without_optimize_section_exits_2(tmp_path):
