@@ -256,12 +256,17 @@ def write_trace_csv(tr, path):
         ))
 
 
+def format_width(value):
+    """A width or width ratio at full precision, or 'undefined' for None."""
+    return "undefined" if value is None else f"{value:.17g}"
+
+
 def metrics_lines(m, extra=None):
     """Flat key=value lines for a metrics block."""
     out = [
         f"peak_rate={m.peak_rate:.17g}",
         f"peak_tau_fs={m.peak_tau_fs:.17g}",
-        f"fwhm_fs={'undefined' if m.fwhm_fs is None else format(m.fwhm_fs, '.17g')}",
+        f"fwhm_fs={format_width(m.fwhm_fs)}",
         "secondary_maxima_fs=" + " ".join(f"{v:.17g}" for v in m.secondary_maxima_fs),
         "minima_fs=" + " ".join(f"{v:.17g}" for v in m.minima_fs),
         f"integral={m.integral:.17g}",

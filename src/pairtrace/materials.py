@@ -94,6 +94,29 @@ def _n_and_derivatives(material, lam_um, temperature_C):
     return n, dn, d2n
 
 
+# Entries of the index cache. A run evaluates at most a few distinct
+# (material, temperature, grid) inputs; an entry holds the wavelength bytes
+# and n, about 32 KB on a 2048-sample grid.
+_INDEX_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_INDEX_CACHE_SIZE)
+def _cached_index(material, temperature_C, shape, lam_bytes):
+    lam_um = np.frombuffer(lam_bytes, dtype=float).reshape(shape)
+    n, _, _ = _n_and_derivatives(material, lam_um, temperature_C)
+    n.flags.writeable = False
+    return n
+
+
+def _index(material, lam_um, temperature_C):
+    """n(lam) [um based]: a float for a scalar, else a read-only array that
+    is evaluated once per (material, temperature, wavelength array)."""
+    if lam_um.ndim == 0:
+        n, _, _ = _n_and_derivatives(material, lam_um, temperature_C)
+        return float(n)
+    return _cached_index(material, float(temperature_C), lam_um.shape, lam_um.tobytes())
+
+
 def _check_range(material, wavelength_nm):
     lo, hi = material.valid_range_nm
     wmin = np.min(wavelength_nm)
@@ -109,14 +132,13 @@ def refractive_index(material, wavelength_nm, temperature_C=20.0):
     """Phase index n(lam, T). Wavelength in nm, temperature in deg C.
 
     Temperature enters only through the crystal formula; the glass models
-    are room-temperature fits and ignore it.
+    are room-temperature fits and ignore it. A scalar wavelength gives a
+    float; an array gives a read-only array of its shape, kept in a
+    bounded per-process cache keyed by material, temperature and the
+    wavelength array.
     """
     _check_range(material, wavelength_nm)
-    lam_um = np.asarray(wavelength_nm, dtype=float) / 1000.0
-    n, _, _ = _n_and_derivatives(material, lam_um, temperature_C)
-    if n.ndim == 0:
-        return float(n)
-    return n
+    return _index(material, np.asarray(wavelength_nm, dtype=float) / 1000.0, temperature_C)
 
 
 def spectral_phase_of_slab(material, thickness_mm, omega_grid, temperature_C=20.0):
@@ -132,7 +154,7 @@ def spectral_phase_of_slab(material, thickness_mm, omega_grid, temperature_C=20.
         return np.zeros_like(omega_grid)
     lam_nm = wavelength_nm_from_omega(omega_grid)
     _check_range(material, lam_nm)
-    n, _, _ = _n_and_derivatives(material, lam_nm / 1000.0, temperature_C)
+    n = _index(material, lam_nm / 1000.0, temperature_C)
     z_um = thickness_mm * 1000.0
     return n * omega_grid * z_um / C_UM_FS
 

@@ -444,8 +444,10 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
             amplitude, KERNEL_SIGNAL_DELAY, scenario.tau_span_fs, scenario.tau_step_fs
         )
         ref_m = delayscan.metrics(ref)
-        extras["signal_delay_fwhm_fs"] = f"{ref_m.fwhm_fs:.17g}"
-        extras["fwhm_ratio_vmask"] = f"{tm.fwhm_fs / ref_m.fwhm_fs:.17g}"
+        defined = tm.fwhm_fs is not None and ref_m.fwhm_fs is not None
+        ratio = tm.fwhm_fs / ref_m.fwhm_fs if defined else None
+        extras["signal_delay_fwhm_fs"] = delayscan.format_width(ref_m.fwhm_fs)
+        extras["fwhm_ratio_vmask"] = delayscan.format_width(ratio)
 
     extras["rate_zero_delay"] = f"{delayscan.rate_at_zero_delay(amplitude):.17g}"
     if scenario.kernel == KERNEL_SIGNAL_DELAY:

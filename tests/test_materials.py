@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,12 +12,14 @@ from pairtrace import (
     get_material,
     group_delay_dispersion,
     load_materials,
+    materials,
     refractive_index,
     spectral_phase_of_slab,
     taylor_dispersion,
 )
-from pairtrace.materials import _parse_materials_text
-from pairtrace.units import C_UM_FS, omega_from_wavelength_nm
+from pairtrace.materials import _n_and_derivatives, _parse_materials_text
+from pairtrace.scenario import load_scenario, reproduce_fig3, run_scenario
+from pairtrace.units import C_UM_FS, omega_from_wavelength_nm, wavelength_nm_from_omega
 
 ALL_MATERIALS = ["fused_silica", "sf10", "sf14", "mgln_e"]
 
@@ -63,6 +70,88 @@ def test_crystal_index_fixtures():
     ln = get_material("mgln_e")
     assert refractive_index(ln, 1064.0, 50.0) == pytest.approx(2.15525760, abs=5e-7)
     assert refractive_index(ln, 532.0, 50.0) == pytest.approx(2.23199490, abs=5e-7)
+
+
+# ---------------------------------------------------------------- index cache
+
+def fig3a_grid():
+    sc = load_scenario("fig3a")
+    return sc.grid.omega_grid(omega_from_wavelength_nm(sc.pump_wavelength_nm))
+
+
+@pytest.mark.parametrize("name, temperature_C", [("mgln_e", 48.5), ("sf14", 20.0)])
+def test_cached_index_has_the_bits_of_the_formula(name, temperature_C):
+    m = get_material(name)
+    grid = fig3a_grid()
+    lam_nm = wavelength_nm_from_omega(grid)
+    direct, _, _ = _n_and_derivatives(m, lam_nm / 1000.0, temperature_C)
+    materials._cached_index.cache_clear()
+    for _ in range(2):   # a miss, then a hit
+        assert np.array_equal(refractive_index(m, lam_nm, temperature_C), direct)
+        assert np.array_equal(
+            spectral_phase_of_slab(m, 2.5, grid, temperature_C),
+            direct * grid * 2500.0 / C_UM_FS,
+        )
+    info = materials._cached_index.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_cached_index_is_read_only():
+    n = refractive_index(get_material("sf14"), np.linspace(600.0, 1500.0, 64))
+    with pytest.raises(ValueError):
+        n[0] = 1.0
+
+
+def test_cached_index_keeps_a_2d_shape():
+    m = get_material("mgln_e")
+    lam_nm = np.linspace(700.0, 1500.0, 60).reshape(4, 15)
+    n = refractive_index(m, lam_nm, 48.5)
+    assert n.shape == (4, 15)
+    assert np.array_equal(n, _n_and_derivatives(m, lam_nm / 1000.0, 48.5)[0])
+    assert np.array_equal(n[1], refractive_index(m, lam_nm[1], 48.5))
+
+
+def test_cache_entry_per_material_and_temperature():
+    lam_nm = np.linspace(700.0, 1500.0, 64)
+    ln, sf14 = get_material("mgln_e"), get_material("sf14")
+    materials._cached_index.cache_clear()
+    a = refractive_index(ln, lam_nm, 48.5)
+    b = refractive_index(ln, lam_nm, 50.0)
+    c = refractive_index(sf14, lam_nm, 48.5)
+    assert materials._cached_index.cache_info().currsize == 3
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert refractive_index(ln, lam_nm, 48.5) is a
+
+
+def test_scalar_index_is_a_float_and_bypasses_the_cache():
+    materials._cached_index.cache_clear()
+    n = refractive_index(get_material("mgln_e"), np.float64(1064.0), 48.5)
+    assert type(n) is float
+    assert materials._cached_index.cache_info().currsize == 0
+
+
+def test_full_grid_index_evaluations_per_run(tmp_path):
+    materials._cached_index.cache_clear()
+    run_scenario("fig3a", tmp_path / "fig3a")
+    assert materials._cached_index.cache_info().misses == 2   # mgln_e and sf14
+    materials._cached_index.cache_clear()
+    reproduce_fig3(tmp_path / "fig3", refine_check=True)
+    assert materials._cached_index.cache_info().misses == 5
+
+
+def test_import_leaves_the_index_cache_empty():
+    src = str(Path(materials.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import pairtrace.cli\n"
+        "from pairtrace import materials\n"
+        "print(materials._cached_index.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------- slab phase

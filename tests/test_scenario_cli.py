@@ -237,6 +237,21 @@ def test_cli_trace_gaussian(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_cli_trace_vmask_without_fwhm_writes_undefined(tmp_path):
+    # sigma 0.003 rad/fs: both traces stay above half maximum over the span
+    scn = tmp_path / "narrow.scn"
+    scn.write_text(GAUSS_TEXT.replace("gaussian_sigma = 0.05", "gaussian_sigma = 0.003"))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["trace", "--scenario", str(scn), "--out", str(out)])
+    assert result.exit_code == 0
+    assert result.exception is None
+    assert "Traceback" not in result.output
+    metrics = (out / "metrics.txt").read_text().splitlines()
+    assert "fwhm_fs=undefined" in metrics
+    assert "signal_delay_fwhm_fs=undefined" in metrics
+    assert "fwhm_ratio_vmask=undefined" in metrics
+
+
 def test_cli_trace_missing_scenario_exit_2(tmp_path):
     runner = CliRunner()
     result = runner.invoke(
