@@ -312,20 +312,24 @@ class BuiltSystem:
 
 def build_system(scenario, grid_scale=1.0):
     """Crystals, pupil and element chains of a scenario: solves the poling
-    period and any auto compressor insertion, and adds the half-crystal slabs."""
+    period and any auto compressor insertion, and adds the half-crystal slabs.
+    A Gaussian source evaluates no kernel, so it gets no crystals and no
+    poling period."""
     material = scenario.crystal_material
     pump_omega = omega_from_wavelength_nm(scenario.pump_wavelength_nm)
     grid = scenario.grid.scaled(grid_scale)
 
-    period = scenario.poling_period_um
-    if period is None:
-        period = solve_poling_period(
-            material, pump_omega, scenario.phasematch_temperature_C
-        )
     t_dc = scenario.phasematch_temperature_C + scenario.operating_offset_C
     t_uc = t_dc + scenario.uc_temperature_offset_C
-    dc = CrystalSpec(material, scenario.crystal_length_mm, period, t_dc)
-    uc = CrystalSpec(material, scenario.crystal_length_mm, period, t_uc)
+    dc = uc = None
+    if scenario.gaussian_sigma is None:
+        period = scenario.poling_period_um
+        if period is None:
+            period = solve_poling_period(
+                material, pump_omega, scenario.phasematch_temperature_C
+            )
+        dc = CrystalSpec(material, scenario.crystal_length_mm, period, t_dc)
+        uc = CrystalSpec(material, scenario.crystal_length_mm, period, t_uc)
 
     pupil = PupilSpec(scenario.theta_min_ext_rad, scenario.theta_max_ext_rad)
     config = SpdcConfig(dc, uc, pupil, pump_omega, grid)

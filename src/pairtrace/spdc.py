@@ -23,7 +23,10 @@ sin(theta_min) max(w_s, w_i)/c to sin(theta_max) min(w_s, w_i)/c.
 The radial integral is a Gauss-Legendre rule in u = k^2 (k dk = du/2), on
 which the mismatch is nearly linear. Its order adapts: it starts at 8 nodes
 and doubles until two successive orders agree within QUADRATURE_RTOL, with
-the grid's radial_points as the cap.
+the grid's radial_points as the cap. It is evaluated in blocks of
+frequency rows of about KERNEL_BLOCK_SAMPLES (w, node) samples, so its
+memory does not grow with the radial order; when the two crystals are
+equal, one sinc factor serves both.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from .units import C_UM_FS, wavelength_nm_from_omega
 
 QUADRATURE_RTOL = 1e-3  # relative change allowed between radial refinements
 EDGE_FLOOR = 1e-3       # |S| at the grid edge must stay below this times peak
-# work cap on omega_points x radial_points: the largest array of the final
-# radial doubling (omega x 2 radial x 8 B) stays within 256 MiB
+# work cap on omega_points x radial_points: it bounds the work of the final
+# radial doubling; memory is O(omega) plus one block of the radial integral
 MAX_GRID_SAMPLES = 2 ** 24
+KERNEL_BLOCK_SAMPLES = 2 ** 13  # (omega, node) samples per block of the radial integral
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,8 @@ class GridSpec:
 class SpdcConfig:
     """Everything the k-space kernel integral needs."""
 
-    dc_crystal: CrystalSpec
-    uc_crystal: CrystalSpec
+    dc_crystal: CrystalSpec | None   # None for a Gaussian source, which has no kernel
+    uc_crystal: CrystalSpec | None
     pupil: PupilSpec
     pump_omega: float
     grid: GridSpec = GridSpec()
@@ -139,17 +143,23 @@ class SpectralAmplitude:
         return float(self.omega_grid[1] - self.omega_grid[0])
 
 
-def _crystal_kernel(crystal, omega_grid, k_perp_sq, pump_omega):
-    """sinc(beta) for one crystal over (omega, k_perp^2) sample blocks."""
+def _wavevectors(crystal, omega_grid, pump_omega):
+    """Full wavevectors in one crystal: k_s(w_s), k_i(w_p - w_s) and k_p."""
     lam_nm = wavelength_nm_from_omega(omega_grid)
     n = refractive_index(crystal.material, lam_nm, crystal.temperature_C)
     k_s = n * omega_grid / C_UM_FS          # full wavevector at w_s
-    k_i = k_s[::-1]                          # same curve at w_i = w_p - w_s
     n_p = refractive_index(
         crystal.material, wavelength_nm_from_omega(pump_omega), crystal.temperature_C
     )
-    k_p = n_p * pump_omega / C_UM_FS
-    dk = axial_mismatch(k_p, k_s[:, None], k_i[:, None], k_perp_sq, crystal.grating_k)
+    # the idler is the same curve at w_i = w_p - w_s
+    return k_s, k_s[::-1], n_p * pump_omega / C_UM_FS
+
+
+def _crystal_kernel(crystal, waves, rows, k_perp_sq):
+    """sinc(beta) for one crystal over the (omega, k_perp^2) samples of a
+    block of frequency rows, from the crystal's _wavevectors."""
+    k_s, k_i, k_p = waves
+    dk = axial_mismatch(k_p, k_s[rows, None], k_i[rows, None], k_perp_sq, crystal.grating_k)
     beta = dk * (crystal.length_mm * 1000.0) / 2.0
     return np.sinc(beta / np.pi)
 
@@ -178,12 +188,19 @@ def _bare_amplitude(config, radial_points):
     u_lo, u_hi = k_lo ** 2, k_hi ** 2
     half = 0.5 * np.where(open_pupil, u_hi - u_lo, 0.0)
     mid = np.where(open_pupil, 0.5 * (u_lo + u_hi), u_lo)
-    u = mid[:, None] + half[:, None] * nodes[None, :]
-
-    s1 = _crystal_kernel(config.dc_crystal, grid, u, config.pump_omega)
-    s2 = _crystal_kernel(config.uc_crystal, grid, u, config.pump_omega)
+    dc, uc = config.dc_crystal, config.uc_crystal
+    dc_waves, uc_waves = (_wavevectors(c, grid, config.pump_omega) for c in (dc, uc))
+    matched = uc == dc
+    step = max(1, KERNEL_BLOCK_SAMPLES // radial_points)
+    sums = np.empty(grid.size)
+    for start in range(0, grid.size, step):
+        rows = slice(start, start + step)
+        u = mid[rows, None] + half[rows, None] * nodes
+        s1 = _crystal_kernel(dc, dc_waves, rows, u)
+        s2 = s1 if matched else _crystal_kernel(uc, uc_waves, rows, u)
+        sums[rows] = (s1 * s2 * weights).sum(axis=1)
     # 2 pi int k dk f = pi int du f
-    values = np.pi * half * (s1 * s2 * weights[None, :]).sum(axis=1)
+    values = np.pi * half * sums
     values = values.astype(complex)
     values[~open_pupil] = 0.0
     return SpectralAmplitude(grid, values, config.pump_omega)

@@ -482,6 +482,26 @@ def test_gaussian_source_takes_explicit_half_crystal_phases():
     assert [e.thickness_mm for e in chain.elements] == [2.5, 2.5]
 
 
+def test_pump_outside_the_crystal_range_fails_only_the_spdc_source(tmp_path):
+    # mgln_e is valid from 500 nm; a Gaussian source reads no crystal index
+    outputs = {}
+    for name in ("gauss_vmask", "fig3a"):
+        text = resources.files("pairtrace.scenarios").joinpath(f"{name}.scn").read_text()
+        assert "wavelength_nm = 532.0" in text
+        scn = tmp_path / f"{name}_400.scn"
+        scn.write_text(text.replace("wavelength_nm = 532.0", "wavelength_nm = 400"))
+        outputs[name] = CliRunner().invoke(
+            main, ["trace", "--scenario", str(scn), "--out", str(tmp_path / name)]
+        )
+    assert outputs["gauss_vmask"].exit_code == 0
+    assert "fwhm_ratio_vmask=" in outputs["gauss_vmask"].output
+    assert outputs["fig3a"].exit_code == 2
+    assert outputs["fig3a"].output.splitlines() == [
+        "error: wavelength 400.0-400.0 nm outside validity range [500, 4000] nm "
+        "of material 'mgln_e'"
+    ]
+
+
 def test_spdc_vmask_scenario_writes_signal_reference(tmp_path):
     sc = parse_scenario_text(
         fig3a_with("kernel = signal-delay", "kernel = v-mask"), source="fig3a_v.scn"

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pairtrace import ConvergenceError, ValidationError, get_material, spdc
-from pairtrace.phasematch import CrystalSpec, delta_kz
+from pairtrace.materials import refractive_index
+from pairtrace.phasematch import CrystalSpec, axial_mismatch, delta_kz
 from pairtrace.spdc import (
     GridSpec,
     PupilSpec,
@@ -18,7 +20,7 @@ from pairtrace.spdc import (
     write_spectrum_csv,
     _bare_amplitude,
 )
-from pairtrace.units import C_UM_FS
+from pairtrace.units import C_UM_FS, wavelength_nm_from_omega
 
 from conftest import PUMP_OMEGA, T_OP_C
 
@@ -256,6 +258,75 @@ def test_grid_work_cap_rejects_before_allocation():
     # the largest benchmark grid, above every bundled one, stays admitted
     GridSpec(omega_points=4096, radial_points=512)
     assert 2 * spdc.MAX_GRID_SAMPLES * 8 <= 256 * 2 ** 20
+
+
+def whole_array_kernel(config, radial_points):
+    """The radial integral over whole (omega x node) arrays, one sinc array
+    per crystal, as it was written before the blocked evaluation."""
+    grid = config.grid.omega_grid(config.pump_omega)
+    omega_i = grid[::-1]
+    k_lo = np.sin(config.pupil.theta_min_ext_rad) * np.maximum(grid, omega_i) / C_UM_FS
+    k_hi = np.sin(config.pupil.theta_max_ext_rad) * np.minimum(grid, omega_i) / C_UM_FS
+    open_pupil = k_hi > k_lo
+    nodes, weights = np.polynomial.legendre.leggauss(radial_points)
+    u_lo, u_hi = k_lo ** 2, k_hi ** 2
+    half = 0.5 * np.where(open_pupil, u_hi - u_lo, 0.0)
+    mid = np.where(open_pupil, 0.5 * (u_lo + u_hi), u_lo)
+    u = mid[:, None] + half[:, None] * nodes[None, :]
+
+    def sinc(crystal):
+        n = refractive_index(crystal.material, wavelength_nm_from_omega(grid),
+                             crystal.temperature_C)
+        k_s = n * grid / C_UM_FS
+        n_p = refractive_index(crystal.material, wavelength_nm_from_omega(config.pump_omega),
+                               crystal.temperature_C)
+        k_p = n_p * config.pump_omega / C_UM_FS
+        dk = axial_mismatch(k_p, k_s[:, None], k_s[::-1][:, None], u, crystal.grating_k)
+        return np.sinc(dk * (crystal.length_mm * 1000.0) / 2.0 / np.pi)
+
+    s1, s2 = sinc(config.dc_crystal), sinc(config.uc_crystal)
+    values = (np.pi * half * (s1 * s2 * weights[None, :]).sum(axis=1)).astype(complex)
+    values[~open_pupil] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["matched", "detuned"])
+@pytest.mark.parametrize(
+    "omega, radial, block, blocks",
+    [(300, 64, 2 ** 13, 3), (256, 64, 2 ** 13, 2), (40, 64, 32, 40)],
+    ids=["ragged_last_block", "whole_blocks", "one_row_per_block"],
+)
+def test_blocked_kernel_is_bit_identical_to_whole_arrays(
+    poling_period, monkeypatch, detuned, omega, radial, block, blocks
+):
+    cfg = small_config(poling_period, radial=radial, omega=omega)
+    if detuned:
+        cfg = replace(cfg, uc_crystal=replace(cfg.uc_crystal, temperature_C=T_OP_C + 10.0))
+    monkeypatch.setattr(spdc, "KERNEL_BLOCK_SAMPLES", block)
+    kernel, calls = spdc._crystal_kernel, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(spdc, "_crystal_kernel", counted)
+    values = _bare_amplitude(cfg, radial).values
+    assert np.array_equal(values, whole_array_kernel(cfg, radial))
+    # a matched pair evaluates its one sinc factor once per block
+    crystals = [cfg.dc_crystal, cfg.uc_crystal] if detuned else [cfg.dc_crystal]
+    assert calls == crystals * blocks
+
+
+def test_kernel_level_memory_stays_within_one_block(poling_period):
+    # one whole (omega x node) float array is 4 MB here, one block 64 KB
+    cfg = small_config(poling_period, radial=128, omega=4096, half_span=0.55)
+    tracemalloc.start()
+    try:
+        _bare_amplitude(cfg, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_radial_rule_converges_on_gaussian_integrand():

@@ -2,11 +2,12 @@
 
     python3 tools/golden.py
 
-Runs the 7 bundled scenarios through `run_scenario` and `reproduce_fig3`
-with the refinement check at grid scale 0.5, reduces the output trees to
-numbers, rewrites `tests/golden_0.5.json` with them and prints every
-number that moved against the old file. `tests/test_golden.py` runs the
-same reduction and fails on any change beyond the tolerances below.
+Writes the grid-scale-0.5 tree of `tools/write_trees.py` (the 7 bundled
+scenarios through `run_scenario` and `reproduce_fig3` with the refinement
+check), reduces it to numbers, rewrites `tests/golden_0.5.json` with them
+and prints every number that moved against the old file.
+`tests/test_golden.py` runs the same reduction and fails on any change
+beyond the tolerances below.
 
 The reduction keeps:
 
@@ -23,6 +24,7 @@ The reduction keeps:
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import sys
@@ -32,6 +34,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "write_trees", Path(__file__).with_name("write_trees.py"))
+write_trees = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(write_trees)
 GRID_SCALE = 0.5
 GOLDEN_FILE = ROOT / "tests" / f"golden_{GRID_SCALE}.json"
 SAMPLE_ROWS = 33
@@ -89,15 +95,10 @@ def reduce_tree(root):
 
 
 def collect(work_dir):
-    """Run the bundled scenarios and the fig. 3 suite under work_dir and
-    reduce their trees."""
-    from pairtrace import scenario
-
-    work = Path(work_dir)
-    for name in scenario.BUNDLED_SCENARIOS:
-        scenario.run_scenario(name, work / name, GRID_SCALE)
-    scenario.reproduce_fig3(work / "fig3", GRID_SCALE, refine_check=True)
-    return reduce_tree(work)
+    """Write the grid-scale-0.5 tree of `tools/write_trees.py` under
+    work_dir and reduce it."""
+    write_trees.write_tree(work_dir, GRID_SCALE)
+    return reduce_tree(work_dir)
 
 
 def _flatten(golden):
