@@ -14,15 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .delayscan import rate_at_zero_delay
 from .errors import ValidationError
 from .materials import (
     MaterialModel,
     refractive_index,
     spectral_phase_of_slab,
-    taylor_dispersion,
+    taylor_fit,
+    taylor_window,
 )
-from .spdc import apply_spectral_phase
 from .units import C_UM_FS, wavelength_nm_from_omega
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -135,9 +134,16 @@ def chain_phase(chain, omega_grid, center_omega):
 
 
 def chain_gdd_fs2(chain, omega_grid, center_omega):
-    """Curvature of the chain phase at the center frequency [fs^2]."""
-    phase = chain.phase(omega_grid, center_omega)
-    return taylor_dispersion(omega_grid, phase, center_omega, 2)[1]
+    """Curvature of the chain phase at the center frequency [fs^2].
+
+    The chain is evaluated only on the taylor_window samples that the fit
+    reads; elementwise evaluation gives them the bits they have on the
+    full grid, so the result is taylor_dispersion's on the full phase.
+    """
+    grid = np.asarray(omega_grid, dtype=float)
+    window = grid[taylor_window(grid, center_omega, 2)]
+    phase = chain.phase(window, center_omega)
+    return taylor_fit(window - center_omega, phase, 2)[1]
 
 
 @dataclass
@@ -177,6 +183,12 @@ def knob_objective(amplitude, base_chain, knob):
     correction adds value (w - w0)^2 / 2, and the glass phase is linear in
     the insertion. So the chain is evaluated once per objective (twice for
     the insertion direction) and each call only applies the phase.
+
+    The pair phase total_k = phi_k + phi_(n-1-k) is symmetric, so R(0) =
+    |sum_(k<m) F_k exp(i total_k) dw|^2 over the first m = ceil(n/2)
+    samples, with F_k = S_k + S_(n-1-k) (the centre sample of an odd grid
+    counted once). Each total_k is the float sum that apply_spectral_phase
+    forms, bit for bit; only F and the final sum round differently.
     """
     grid = amplitude.omega_grid
     center = amplitude.pump_omega / 2.0
@@ -186,12 +198,23 @@ def knob_objective(amplitude, base_chain, knob):
     else:
         phi0 = with_knob(base_chain, knob, 0.0).phase(grid, center)
         direction = with_knob(base_chain, knob, 1.0).phase(grid, center) - phi0
+    m = (grid.size + 1) // 2
+    lo0, lod = phi0[:m], direction[:m]
+    hi0, hid = phi0[::-1][:m].copy(), direction[::-1][:m].copy()
+    values = amplitude.values
+    folded = values[:m] + values[::-1][:m]
+    if grid.size % 2:
+        folded[-1] = values[m - 1]
+    domega = amplitude.domega
 
     def objective(value):
         if knob == KNOB_INSERTION and value < 0:
             raise ValidationError("insertion must be >= 0")
-        phi = phi0 + value * direction
-        return rate_at_zero_delay(apply_spectral_phase(amplitude, phi, phi))
+        total = (lo0 + value * lod) + (hi0 + value * hid)
+        rate = float(np.abs(np.dot(folded, np.exp(1j * total)) * domega) ** 2)
+        if not np.isfinite(rate):
+            raise ValidationError("spectral phases must be finite")
+        return rate
 
     return objective
 

@@ -172,24 +172,18 @@ def group_delay_dispersion(material, thickness_mm, wavelength_nm, temperature_C=
     return float(z_um * lam_um ** 3 / (2.0 * np.pi * C_UM_FS ** 2) * d2n)
 
 
-def taylor_dispersion(omega_grid, phase, center_omega, max_order):
-    """Dispersion orders phi', phi'', ..., phi^(max_order) at center_omega.
-
-    Local polynomial fit to the phase [rad] sampled on a uniform, strictly
-    increasing omega grid; returns a list of length max_order with entries
-    in fs, fs^2, ... Order 4 is the highest supported.
-    """
+def taylor_window(omega_grid, center_omega, max_order):
+    """The slice of a uniform, strictly increasing omega grid that
+    taylor_dispersion fits: 2 half + 1 samples about the one nearest
+    center_omega, half = max(12, n // 16) clipped to the grid."""
     if not 1 <= max_order <= 4:
         raise ValidationError("max_order must be between 1 and 4")
     grid = np.asarray(omega_grid, dtype=float)
-    phase = np.asarray(phase, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or phase.shape != grid.shape:
-        raise ValidationError("phase and omega grid must be matching 1-d arrays")
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValidationError("omega grid must be a 1-d array of at least 2 samples")
     steps = np.diff(grid)
     if not (np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
         raise ValidationError("omega grid must be uniform and strictly increasing")
-    if not np.all(np.isfinite(phase)):
-        raise ValidationError("spectral phase contains non-finite samples")
     n = grid.size
     i0 = int(np.argmin(np.abs(grid - center_omega)))
     half = max(12, n // 16)
@@ -198,17 +192,40 @@ def taylor_dispersion(omega_grid, phase, center_omega, max_order):
         raise ValidationError(
             "center_omega too close to the grid edge for a dispersion fit"
         )
-    sel = slice(i0 - half, i0 + half + 1)
-    x = grid[sel] - center_omega
-    scale = x[-1]
-    deg = min(max_order + 2, 2 * half)
-    coeffs = np.polynomial.polynomial.polyfit(x / scale, phase[sel], deg)
+    return slice(i0 - half, i0 + half + 1)
+
+
+def taylor_fit(offsets, phase, max_order):
+    """Dispersion orders phi', ..., phi^(max_order) from a polynomial fit to
+    the phase [rad] at the taylor_window offsets w - center_omega."""
+    if not np.all(np.isfinite(phase)):
+        raise ValidationError("spectral phase contains non-finite samples")
+    scale = offsets[-1]
+    deg = min(max_order + 2, offsets.size - 1)
+    coeffs = np.polynomial.polynomial.polyfit(offsets / scale, phase, deg)
     out = []
     fact = 1.0
     for k in range(1, max_order + 1):
         fact *= k
         out.append(float(coeffs[k] * fact / scale ** k))
     return out
+
+
+def taylor_dispersion(omega_grid, phase, center_omega, max_order):
+    """Dispersion orders phi', phi'', ..., phi^(max_order) at center_omega.
+
+    Local polynomial fit to the phase [rad] sampled on a uniform, strictly
+    increasing omega grid; returns a list of length max_order with entries
+    in fs, fs^2, ... Order 4 is the highest supported.
+    """
+    grid = np.asarray(omega_grid, dtype=float)
+    phase = np.asarray(phase, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or phase.shape != grid.shape:
+        raise ValidationError("phase and omega grid must be matching 1-d arrays")
+    sel = taylor_window(grid, center_omega, max_order)
+    if not np.all(np.isfinite(phase)):
+        raise ValidationError("spectral phase contains non-finite samples")
+    return taylor_fit(grid[sel] - center_omega, phase[sel], max_order)
 
 
 # ----------------------------------------------------------------- data files

@@ -391,15 +391,26 @@ def build_and_optimize(scenario, grid_scale=1.0, radial_levels=None, log=None):
     return OptimizedSystem(built, kernel_s, optimization, chain)
 
 
-def dress(kernel_s, chain, window, idler_chain=None):
-    """S(w): the bare kernel under the chain phases, with the window elements
-    on both paths. idler_chain None means the idler shares the signal chain."""
+def chain_phases(kernel_s, chain, idler_chain=None):
+    """(signal, idler) chain phases on the kernel grid. idler_chain None
+    means the idler shares the signal chain."""
     grid = kernel_s.omega_grid
     center = kernel_s.pump_omega / 2.0
-    phi_s = chain.extended(*window.elements).phase(grid, center)
-    phi_i = phi_s if idler_chain is None else (
-        idler_chain.extended(*window.elements).phase(grid, center)
-    )
+    phi_s = chain.phase(grid, center)
+    return phi_s, phi_s if idler_chain is None else idler_chain.phase(grid, center)
+
+
+def dress(kernel_s, phases, window):
+    """S(w): the bare kernel under chain_phases, with the window elements
+    on both paths. ElementChain.phase sums its elements left to right, so
+    adding the window's phases in order gives each chain extended by the
+    window bit for bit, and one base phase serves any number of windows."""
+    grid = kernel_s.omega_grid
+    center = kernel_s.pump_omega / 2.0
+    phi_s, phi_i = phases
+    for element in window.elements:
+        extra = element.phase(grid, center)
+        phi_s, phi_i = phi_s + extra, phi_i + extra
     return spdc.apply_spectral_phase(kernel_s, phi_s, phi_i)
 
 
@@ -435,7 +446,8 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
     if optimization is not None:
         extras["residual_gdd_fs2"] = f"{optimization.residual_gdd_fs2:.17g}"
     built = system.built
-    amplitude = dress(system.kernel, system.chain, built.window_chain, built.idler_chain)
+    phases = chain_phases(system.kernel, system.chain, built.idler_chain)
+    amplitude = dress(system.kernel, phases, built.window_chain)
     extras["bandwidth_fwhm_nm"] = f"{spdc.bandwidth_fwhm_nm(amplitude):.17g}"
     tr = delayscan.trace(
         amplitude, scenario.kernel, scenario.tau_span_fs, scenario.tau_step_fs
@@ -533,6 +545,7 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
     )
 
     rows = []
+    phases = chain_phases(system.kernel, system.chain, system.built.idler_chain)
     for case, sc in ladder:
         window = ElementChain(sc.window_elements)
         added_gdd = sum(
@@ -544,7 +557,7 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
             ),
             0.0,
         )
-        amplitude = dress(system.kernel, system.chain, window, system.built.idler_chain)
+        amplitude = dress(system.kernel, phases, window)
         tr = delayscan.trace(amplitude, sc.kernel, sc.tau_span_fs, sc.tau_step_fs)
         tm = delayscan.metrics(tr)
         delayscan.write_trace_csv(tr, out / f"{case}.csv")

@@ -28,7 +28,8 @@ def fig3a_half():
 
 def fig3a_trace(fig3a_half, chain=EMPTY, window=EMPTY, idler_chain=None, odd=None):
     sc, system = fig3a_half
-    amplitude = scenario.dress(system.kernel, chain, window, idler_chain)
+    phases = scenario.chain_phases(system.kernel, chain, idler_chain)
+    amplitude = scenario.dress(system.kernel, phases, window)
     if odd is not None:
         amplitude = apply_spectral_phase(amplitude, odd, odd)
     return delayscan.trace(amplitude, sc.kernel, sc.tau_span_fs, sc.tau_step_fs).rate

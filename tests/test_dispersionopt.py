@@ -19,6 +19,7 @@ from pairtrace.dispersionopt import (
     with_knob,
 )
 from pairtrace.materials import spectral_phase_of_slab, taylor_dispersion
+from pairtrace.scenario import build_and_optimize, build_system, load_scenario
 from pairtrace.spdc import GridSpec, SpectralAmplitude, apply_spectral_phase
 
 from conftest import PUMP_OMEGA
@@ -188,6 +189,13 @@ def test_objective_decreases_away_from_optimum(default_kernel, base_chain, optim
         assert objective(result.optimal_value + delta) < r_opt
 
 
+def summation_bound(amplitude):
+    """n eps (sum |S| dw)^2: how far reordering the sum of n terms
+    S_k exp(i total_k) dw can move |sum|^2."""
+    scale = (np.sum(np.abs(amplitude.values)) * amplitude.domega) ** 2
+    return amplitude.values.size * np.finfo(float).eps * scale
+
+
 def test_affine_objective_matches_full_chain(default_kernel, base_chain):
     grid = default_kernel.omega_grid
 
@@ -195,9 +203,12 @@ def test_affine_objective_matches_full_chain(default_kernel, base_chain):
         phi = with_knob(base_chain, knob, value).phase(grid, CENTER)
         return rate_at_zero_delay(apply_spectral_phase(default_kernel, phi, phi)), phi
 
+    # the folded objective sums the pair phase over half the grid: only
+    # the summation rounds differently
+    summation = summation_bound(default_kernel)
     objective = knob_objective(default_kernel, base_chain, KNOB_CORRECTION)
     for value in np.linspace(-150.0, 150.0, 5):
-        assert objective(value) == full_chain_rate(KNOB_CORRECTION, value)[0]
+        assert abs(objective(value) - full_chain_rate(KNOB_CORRECTION, value)[0]) <= summation
 
     # phi0 + x dphi and the directly evaluated glass phase round differently:
     # each sample's phase may move by a few ulps of |phi|, which bounds the
@@ -207,7 +218,71 @@ def test_affine_objective_matches_full_chain(default_kernel, base_chain):
     for value in np.linspace(0.0, 15.0, 5):
         rate, phi = full_chain_rate(KNOB_INSERTION, value)
         phase_error = 8.0 * np.finfo(float).eps * np.max(np.abs(phi))
-        assert abs(objective(value) - rate) <= 2.0 * limit * phase_error
+        assert abs(objective(value) - rate) <= 2.0 * limit * phase_error + summation
+
+
+@pytest.mark.parametrize("n", [17, 2047, 2048])
+def test_folded_objective_matches_the_full_spectrum_sum(n):
+    # a random complex amplitude has no symmetry of its own; the phase is
+    # phi0 + value * direction as knob_objective builds it, applied on the
+    # full grid by apply_spectral_phase
+    rng = np.random.default_rng(n)
+    grid = omega_grid(n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    amplitude = SpectralAmplitude(grid, values, PUMP_OMEGA)
+    ln = get_material("mgln_e")
+    base = ElementChain((Slab(ln, 2.5), PrismCompressor(get_material("sf14"), 352.0, 3.0),
+                         Slab(ln, 2.5)))
+    bound = summation_bound(amplitude)
+    for knob, lo, hi in ((KNOB_CORRECTION, -300.0, 300.0), (KNOB_INSERTION, 0.0, 10.0)):
+        if knob == KNOB_CORRECTION:
+            phi0 = base.phase(grid, CENTER)
+            direction = (grid - CENTER) ** 2 / 2.0
+        else:
+            phi0 = with_knob(base, knob, 0.0).phase(grid, CENTER)
+            direction = with_knob(base, knob, 1.0).phase(grid, CENTER) - phi0
+        objective = knob_objective(amplitude, base, knob)
+        for value in rng.uniform(lo, hi, 7):
+            phi = phi0 + value * direction
+            full = rate_at_zero_delay(apply_spectral_phase(amplitude, phi, phi))
+            assert abs(objective(value) - full) <= bound
+
+
+def fig3a_system():
+    built = build_system(load_scenario("fig3a"))
+    return built.base_chain, built.config.grid.omega_grid(PUMP_OMEGA)
+
+
+@pytest.mark.parametrize("case", ["fig3a", "slab", "prism", "correction"])
+def test_windowed_gdd_readout_equals_the_full_grid_fit(case, monkeypatch):
+    grid = omega_grid()
+    if case == "fig3a":
+        chain, grid = fig3a_system()
+    elif case == "slab":
+        chain = ElementChain((Slab(get_material("sf10"), 37.0),))
+    elif case == "prism":
+        chain = ElementChain((PrismCompressor(get_material("sf14"), 352.0, 2.5),))
+    else:
+        chain = ElementChain((PhaseCorrection(gdd_fs2=50.0, tod_fs3=-30.0, quartic_fs4=400.0),))
+    full = taylor_dispersion(grid, chain.phase(grid, CENTER), CENTER, 2)[1]
+    sizes = []
+    phase = ElementChain.phase
+
+    def counted(self, omega_grid, center_omega):
+        sizes.append(omega_grid.size)
+        return phase(self, omega_grid, center_omega)
+
+    monkeypatch.setattr(ElementChain, "phase", counted)
+    assert chain_gdd_fs2(chain, grid, CENTER) == full
+    assert sizes == [2 * max(12, grid.size // 16) + 1]
+
+
+def test_fig3a_optimum_bits():
+    # the folded objective keeps every scan and golden-section decision of
+    # the full-spectrum sum, so the optimum and its readout keep their bits
+    result = build_and_optimize(load_scenario("fig3a")).optimization
+    assert result.optimal_value == 27.68957021240852
+    assert result.residual_gdd_fs2 == 27.689564166315517
 
 
 @pytest.fixture

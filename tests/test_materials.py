@@ -131,13 +131,28 @@ def test_scalar_index_is_a_float_and_bypasses_the_cache():
     assert materials._cached_index.cache_info().currsize == 0
 
 
-def test_full_grid_index_evaluations_per_run(tmp_path):
+def test_full_grid_index_evaluations_per_run(tmp_path, monkeypatch):
+    # array evaluations of n(lam) by size: the 2048-sample grid (4095 on
+    # the refined grid of the check) and the 257-sample window that the
+    # GDD readout fits, once per material and temperature each
+    sizes = []
+    evaluate = materials._n_and_derivatives
+
+    def counted(material, lam_um, temperature_C):
+        if np.ndim(lam_um):
+            sizes.append(np.size(lam_um))
+        return evaluate(material, lam_um, temperature_C)
+
+    monkeypatch.setattr(materials, "_n_and_derivatives", counted)
     materials._cached_index.cache_clear()
     run_scenario("fig3a", tmp_path / "fig3a")
-    assert materials._cached_index.cache_info().misses == 2   # mgln_e and sf14
+    assert sorted(sizes) == [257, 257, 2048, 2048]     # mgln_e and sf14
+    assert materials._cached_index.cache_info().misses == 4
+    sizes.clear()
     materials._cached_index.cache_clear()
     reproduce_fig3(tmp_path / "fig3", refine_check=True)
-    assert materials._cached_index.cache_info().misses == 5
+    assert sorted(sizes) == [257, 257, 2048, 2048, 2048, 2048, 4095]
+    assert materials._cached_index.cache_info().misses == 7
 
 
 def test_import_leaves_the_index_cache_empty():

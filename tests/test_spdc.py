@@ -257,7 +257,11 @@ def test_grid_work_cap_rejects_before_allocation():
         GridSpec().scaled(1e9)
     # the largest benchmark grid, above every bundled one, stays admitted
     GridSpec(omega_points=4096, radial_points=512)
-    assert 2 * spdc.MAX_GRID_SAMPLES * 8 <= 256 * 2 ** 20
+    # the cap's edge: exactly MAX_GRID_SAMPLES is admitted, one row more is not
+    assert 4096 * 4096 == spdc.MAX_GRID_SAMPLES
+    GridSpec(omega_points=4096, radial_points=4096)
+    with pytest.raises(ValidationError, match="work cap"):
+        GridSpec(omega_points=4096, radial_points=4097)
 
 
 def whole_array_kernel(config, radial_points):
