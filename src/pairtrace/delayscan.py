@@ -251,9 +251,8 @@ def write_trace_csv(tr, path):
     """Dump the trace: delay [fs], rate [arbitrary units]."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tau_fs,rate_arb\n")
-        fh.write("".join(
-            f"{t:.17g},{r:.17g}\n" for t, r in zip(tr.tau_grid.tolist(), tr.rate.tolist())
-        ))
+        table = np.column_stack((tr.tau_grid, tr.rate))
+        fh.write("%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist()))
 
 
 def format_width(value):

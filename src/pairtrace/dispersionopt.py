@@ -328,5 +328,5 @@ def optimization_report_lines(result):
 def write_scan_csv(result, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("knob_value,rate_at_zero_delay\n")
-        for v, r in result.scan_record:
-            fh.write(f"{v:.17g},{r:.17g}\n")
+        cells = tuple(x for row in result.scan_record for x in row)
+        fh.write("%.17g,%.17g\n" * len(result.scan_record) % cells)

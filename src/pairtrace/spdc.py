@@ -389,14 +389,12 @@ def bandwidth_fwhm_nm(amplitude):
 
 def write_spectrum_csv(amplitude, path):
     """Dump S(w): omega, wavelength, real, imaginary, squared magnitude."""
-    omega = amplitude.omega_grid
-    rows = zip(
-        omega.tolist(), wavelength_nm_from_omega(omega).tolist(), amplitude.values.tolist()
+    omega, values = amplitude.omega_grid, amplitude.values
+    # Python's abs(complex), not np.abs: the two differ in the last bit
+    abs2 = [abs(v) ** 2 for v in values.tolist()]
+    table = np.column_stack(
+        (omega, wavelength_nm_from_omega(omega), values.real, values.imag, abs2)
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("omega_rad_per_fs,wavelength_nm,re_S,im_S,abs2_S\n")
-        # Python's abs(complex), not np.abs: the two differ in the last bit
-        fh.write("".join(
-            f"{w:.17g},{lam:.17g},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}\n"
-            for w, lam, v in rows
-        ))
+        fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist()))
