@@ -26,7 +26,13 @@ and doubles until two successive orders agree within QUADRATURE_RTOL, with
 the grid's radial_points as the cap. It is evaluated in blocks of
 frequency rows of about KERNEL_BLOCK_SAMPLES (w, node) samples, so its
 memory does not grow with the radial order; when the two crystals are
-equal, one sinc factor serves both.
+equal, one sinc factor serves both, computed as sin(b) / b.
+
+The integrand is exchange-symmetric: w_s -> w_p - w_s swaps k_s and k_i
+and leaves the pupil bounds as they are, so S(w_p/2 + d) = S(w_p/2 - d).
+The grid is centered on w_p/2, so only the lower half of its rows (with
+the center row of an odd grid) is integrated, and the upper half is their
+mirror image; every kernel is mirror-symmetric to the bit.
 """
 
 from __future__ import annotations
@@ -156,12 +162,17 @@ def _wavevectors(crystal, omega_grid, pump_omega):
 
 
 def _crystal_kernel(crystal, waves, rows, k_perp_sq):
-    """sinc(beta) for one crystal over the (omega, k_perp^2) samples of a
-    block of frequency rows, from the crystal's _wavevectors."""
+    """sin(beta) / beta for one crystal over the (omega, k_perp^2) samples
+    of a block of frequency rows, from the crystal's _wavevectors; exactly
+    1 where beta == 0."""
     k_s, k_i, k_p = waves
-    dk = axial_mismatch(k_p, k_s[rows, None], k_i[rows, None], k_perp_sq, crystal.grating_k)
-    beta = dk * (crystal.length_mm * 1000.0) / 2.0
-    return np.sinc(beta / np.pi)
+    beta = axial_mismatch(k_p, k_s[rows, None], k_i[rows, None], k_perp_sq, crystal.grating_k)
+    beta *= crystal.length_mm * 500.0  # dk L / 2, with L in um
+    out = np.sin(beta)
+    with np.errstate(invalid="ignore"):
+        out /= beta
+    out[beta == 0.0] = 1.0
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -191,14 +202,19 @@ def _bare_amplitude(config, radial_points):
     dc, uc = config.dc_crystal, config.uc_crystal
     dc_waves, uc_waves = (_wavevectors(c, grid, config.pump_omega) for c in (dc, uc))
     matched = uc == dc
+    # signal and idler swap under w -> w_p - w, which reverses the grid, so
+    # only the lower rows (with the center row of an odd grid) are integrated
+    n = grid.size
+    lower = (n + 1) // 2
     step = max(1, KERNEL_BLOCK_SAMPLES // radial_points)
-    sums = np.empty(grid.size)
-    for start in range(0, grid.size, step):
-        rows = slice(start, start + step)
+    sums = np.empty(n)
+    for start in range(0, lower, step):
+        rows = slice(start, min(start + step, lower))
         u = mid[rows, None] + half[rows, None] * nodes
         s1 = _crystal_kernel(dc, dc_waves, rows, u)
         s2 = s1 if matched else _crystal_kernel(uc, uc_waves, rows, u)
         sums[rows] = (s1 * s2 * weights).sum(axis=1)
+    sums[n - lower:] = sums[lower - 1::-1]
     # 2 pi int k dk f = pi int du f
     values = np.pi * half * sums
     values = values.astype(complex)
