@@ -79,8 +79,10 @@ class GridSpec:
     radial_points: int = 256       # cap of the adaptive radial order
 
     def __post_init__(self):
-        if self.omega_points < 16 or self.radial_points < 4:
-            raise ValidationError("grid too small")
+        if self.omega_points < 16:
+            raise ValidationError("grid too small: omega_points must be >= 16")
+        if self.radial_points < 4:
+            raise ValidationError("grid too small: radial_points must be >= 4")
         if self.omega_points * self.radial_points > MAX_GRID_SAMPLES:
             raise ValidationError(
                 f"grid of {self.omega_points} x {self.radial_points} omega x radial "

@@ -341,13 +341,16 @@ def fig3a_with(old, new):
         ("[delay]", "[window]\nelement_1 = slab material=fused_silica thickness_mm=-1\n\n[delay]",
          35, "slab thickness must be >= 0"),
         ("omega_points = 2048", "omega_points = 8", 23, "omega_points: grid too small"),
+        ("radial_points = 256", "radial_points = 2", 25,
+         "radial_points: grid too small: radial_points must be >= 4"),
         ("theta_max_ext_deg = 2.0", "theta_max_ext_deg = 10", 17,
          "theta_max_ext_deg: pupil angles must satisfy"),
         ("bracket = -200 200", "bracket = 5 -5", 32, "bracket: empty optimization bracket"),
     ],
     ids=["insertion_abc", "insertion_inf", "unknown_element_argument", "tau_span_nan",
          "misspelled_key", "unknown_crystal_material", "apex_negative",
-         "window_slab_negative", "grid_too_small", "pupil_too_wide", "bracket_reversed"],
+         "window_slab_negative", "grid_too_small", "radial_points_too_small", "pupil_too_wide",
+         "bracket_reversed"],
 )
 def test_cli_bad_scenario_value_exits_2_citing_line(tmp_path, old, new, line, words):
     scn = tmp_path / "bad.scn"

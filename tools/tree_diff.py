@@ -12,6 +12,12 @@ For each relative path under A or B prints one line:
   `-` (A) and `+` (B) prefixes;
 - `ONLY-A path` / `ONLY-B path` for a file present in one tree only.
 
+Then one line `SUMMARY same=N differ=N only=N largest_csv_change=X path
+column` with the counts of byte-identical files, differing files and files
+present in one tree only, and the largest CSV column change over its column
+maximum with where it is (`largest_csv_change=none` when no numeric CSV
+cell changed).
+
 Exits 0 when every file is byte-identical, else 1.
 """
 
@@ -44,13 +50,14 @@ def _number(cell):
 def csv_changes(a_bytes, b_bytes):
     """Per-column lines: the max change of the numeric cells over the column
     max, plus the count of other cells that differ; a header or shape
-    mismatch is one line."""
+    mismatch is one line. Also returns the largest of those changes as
+    (change, column), or None when no column has numeric cells."""
     a, b = _rows(a_bytes), _rows(b_bytes)
     if not a or not b or a[0] != b[0]:
-        return ["header differs"]
+        return ["header differs"], None
     if [len(r) for r in a] != [len(r) for r in b]:
-        return [f"shape differs: {len(a) - 1} vs {len(b) - 1} rows"]
-    lines = []
+        return [f"shape differs: {len(a) - 1} vs {len(b) - 1} rows"], None
+    lines, largest = [], None
     for col, name in enumerate(a[0]):
         pairs = [(ra[col], rb[col]) for ra, rb in zip(a[1:], b[1:])]
         numbers = [(_number(x), _number(y)) for x, y in pairs]
@@ -60,11 +67,15 @@ def csv_changes(a_bytes, b_bytes):
         if numeric.size:
             scale = np.max(np.abs(numeric[:, 0]))
             change = np.max(np.abs(numeric[:, 0] - numeric[:, 1]))
-            line += f" {change / scale if scale > 0 else change:.3e}"
+            if scale > 0:
+                change /= scale
+            line += f" {change:.3e}"
+            if largest is None or change > largest[0]:
+                largest = (change, name)
         if text or not numeric.size:
             line += f" ({text} text cells differ)"
         lines.append(line)
-    return lines
+    return lines, largest
 
 
 def text_changes(a_bytes, b_bytes):
@@ -80,27 +91,37 @@ def text_changes(a_bytes, b_bytes):
 
 
 def compare(root_a, root_b):
-    """Report lines for the two trees and whether they are byte-identical."""
+    """Report lines for the two trees, ending with the SUMMARY line, and
+    whether they are byte-identical."""
     files_a, files_b = _files(root_a), _files(root_b)
-    out, same = [], True
+    out, counts, largest = [], {"same": 0, "differ": 0, "only": 0}, None
     for rel in sorted(files_a | files_b):
         if rel not in files_b or rel not in files_a:
             out.append(f"{'ONLY-A' if rel in files_a else 'ONLY-B'} {rel}")
-            same = False
+            counts["only"] += 1
             continue
         a_bytes = (Path(root_a) / rel).read_bytes()
         b_bytes = (Path(root_b) / rel).read_bytes()
         if a_bytes == b_bytes:
             out.append(f"SAME {rel}")
+            counts["same"] += 1
             continue
-        same = False
+        counts["differ"] += 1
         if rel.endswith(".csv"):
+            lines, change = csv_changes(a_bytes, b_bytes)
             out.append(f"CSV {rel}")
-            out.extend("  " + line for line in csv_changes(a_bytes, b_bytes))
+            out.extend("  " + line for line in lines)
+            if change is not None and (largest is None or change[0] > largest[0]):
+                largest = (change[0], rel, change[1])
         else:
             out.append(f"TEXT {rel}")
             out.extend("  " + line for line in text_changes(a_bytes, b_bytes))
-    return out, same
+    where = "none" if largest is None else "{:.3e} {} {}".format(*largest)
+    out.append(
+        "SUMMARY " + " ".join(f"{k}={v}" for k, v in counts.items())
+        + f" largest_csv_change={where}"
+    )
+    return out, counts["differ"] == counts["only"] == 0
 
 
 def main(argv=None):
