@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import __version__, delayscan, scenario as scenario_mod
-from .dispersionopt import optimization_report_lines, write_scan_csv
+from .dispersionopt import write_optimization
 from .errors import PairtraceError, ValidationError
 from .materials import get_material, group_delay_dispersion
 from .phasematch import CrystalSpec, solve_phasematch_temperature, solve_poling_period
@@ -45,6 +45,7 @@ class _FiniteFloat(click.types.FloatParamType):
 
 
 _FINITE_FLOAT = _FiniteFloat()
+_log = functools.partial(click.echo, err=True)   # run logs go to stderr
 
 
 def _emit(lines, out_dir, filename):
@@ -97,6 +98,8 @@ def material_gdd(name, thickness_mm, wavelength_nm, temperature_c, out_dir):
 def qpm_solve(pump_nm, temperature_c, name, length_mm, bracket_um, out_dir):
     """Poling period for degenerate axial phasematching, plus round trip."""
     material = get_material(name)
+    if pump_nm <= 0:
+        raise ValidationError(f"--pump-nm must be > 0, got {pump_nm:g}")
     pump_omega = omega_from_wavelength_nm(pump_nm)
     period = solve_poling_period(material, pump_omega, temperature_c, tuple(bracket_um))
     crystal = CrystalSpec(material, length_mm, period, temperature_c)
@@ -133,9 +136,7 @@ def _scenario_options(fn):
 @_trap_errors
 def trace_cmd(name, out_dir, grid_scale):
     """Run a scenario end to end: spectrum, trace, metrics, reports."""
-    result = scenario_mod.run_scenario(
-        name, out_dir, grid_scale, log=lambda m: click.echo(m, err=True)
-    )
+    result = scenario_mod.run_scenario(name, out_dir, grid_scale, _log)
     for line in delayscan.metrics_lines(result.trace_metrics, result.extras):
         click.echo(line)
 
@@ -145,10 +146,8 @@ def trace_cmd(name, out_dir, grid_scale):
 @_trap_errors
 def spectrum_cmd(name, out_dir, grid_scale):
     """Compute S(w) for a scenario and write the spectrum CSV."""
-    result = scenario_mod.run_scenario(
-        name, out_dir, grid_scale, log=lambda m: click.echo(m, err=True)
-    )
-    click.echo(f"spectrum_csv={result.artifacts['spectrum_csv']}")
+    result = scenario_mod.run_scenario(name, out_dir, grid_scale, _log)
+    click.echo(f"spectrum_csv={Path(out_dir) / 'spectrum.csv'}")
     click.echo(f"bandwidth_fwhm_nm={result.extras['bandwidth_fwhm_nm']}")
 
 
@@ -160,11 +159,11 @@ def optimize_cmd(name, out_dir, grid_scale):
     sc = scenario_mod.load_scenario(name)
     if sc.optimize_knob is None:
         raise ValidationError(f"{sc.name}: scenario has no [optimize] section")
-    result = scenario_mod.build_and_optimize(sc, grid_scale).optimization
+    optimization = scenario_mod.run_stages(sc, grid_scale).optimization
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_scan_csv(result, out / "scan.csv")
-    _emit(optimization_report_lines(result), out_dir, "optimization.txt")
+    for line in write_optimization(optimization, out):
+        click.echo(line)
 
 
 @main.command("reproduce-fig3")
@@ -174,9 +173,7 @@ def optimize_cmd(name, out_dir, grid_scale):
 @_trap_errors
 def reproduce_fig3_cmd(out_dir, grid_scale, refine_check):
     """Optimum trace, the common-dispersion ladder and the v-mask ratio."""
-    summary = scenario_mod.reproduce_fig3(
-        out_dir, grid_scale, refine_check, log=lambda m: click.echo(m, err=True)
-    )
+    summary = scenario_mod.reproduce_fig3(out_dir, grid_scale, refine_check, _log)
     for row in summary["rows"]:
         fwhm = "undefined" if row["fwhm_fs"] is None else f"{row['fwhm_fs']:.2f}"
         click.echo(f"{row['case']}: fwhm_fs={fwhm} peak_rate={row['peak_rate']:.4g}")

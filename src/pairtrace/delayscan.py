@@ -22,6 +22,7 @@ KERNEL_V_MASK = "v-mask"
 KERNELS = (KERNEL_SIGNAL_DELAY, KERNEL_V_MASK)
 
 MAX_TAU_STEP_FS = 0.5
+MAX_TRACE_DELAYS = 2 ** 18  # work cap on the delays of one trace
 MIN_ZERO_PAD = 8
 PEAK_RTOL = 1e-9   # samples this close to the maximum count as the peak
 
@@ -90,6 +91,24 @@ def _check_step(amplitude, tau_step_fs):
         )
 
 
+def check_delay_grid(tau_span_fs, tau_step_fs):
+    """Range checks of a delay grid, made before anything is allocated. The
+    v-mask grid has at most 2 span/step + 1 delays; _check_step keeps the
+    signal-delay step in (step/2, step], so that grid has < 4 span/step + 3."""
+    if not (tau_span_fs > 0 and tau_step_fs > 0):
+        raise ValidationError("tau span and step must be positive")
+    if not tau_span_fs >= tau_step_fs:
+        raise ValidationError("tau_span_fs must be >= tau_step_fs")
+    count = 4.0 * tau_span_fs / tau_step_fs + 3.0
+    if not count <= MAX_TRACE_DELAYS:
+        # a span that not even the coarsest admissible step fits is too wide
+        wide = 4.0 * tau_span_fs / MAX_TAU_STEP_FS + 3.0 > MAX_TRACE_DELAYS
+        fault = "tau_span_fs too large" if wide else "tau_step_fs too small"
+        raise ValidationError(
+            f"{fault}: up to {count:.3g} delays, over the work cap of {MAX_TRACE_DELAYS}"
+        )
+
+
 def _chirp_z(coeffs, offset, theta, steps):
     """sum_m c_m W^(k q), W = exp(-i theta), q = m + offset, at k = -steps..steps,
     up to a unit-modulus factor per k: with k q = (k^2 + q^2 - (k - q)^2) / 2
@@ -117,8 +136,7 @@ def trace(amplitude, kernel=KERNEL_SIGNAL_DELAY, tau_span_fs=150.0, tau_step_fs=
     """
     if kernel not in KERNELS:
         raise ValidationError(f"unknown delay kernel {kernel!r}; use one of {KERNELS}")
-    if tau_span_fs <= 0 or tau_step_fs <= 0:
-        raise ValidationError("tau span and step must be positive")
+    check_delay_grid(tau_span_fs, tau_step_fs)
     _check_step(amplitude, tau_step_fs)
 
     values = amplitude.values

@@ -245,36 +245,28 @@ def optimize_dispersion(amplitude, base_chain, knob, bracket):
     rates = [objective(v) for v in values]
     record = list(zip(values.tolist(), rates))
     i_best = int(np.argmax(rates))
-
-    grid = amplitude.omega_grid
-    center = amplitude.pump_omega / 2.0
-    if i_best in (0, SCAN_POINTS - 1):
-        best = float(values[i_best])
-        chain = with_knob(base_chain, knob, best)
-        return OptimizationResult(
-            knob, best, chain_gdd_fs2(chain, grid, center), rates[i_best],
-            record, True, tol,
-        )
-
-    a, b = float(values[i_best - 1]), float(values[i_best + 1])
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = objective(d)
-    best = 0.5 * (a + b)
+    edge = i_best in (0, SCAN_POINTS - 1)
+    if edge:
+        best, rate = float(values[i_best]), rates[i_best]
+    else:
+        a, b = float(values[i_best - 1]), float(values[i_best + 1])
+        c = b - GOLDEN * (b - a)
+        d = a + GOLDEN * (b - a)
+        fc, fd = objective(c), objective(d)
+        while (b - a) > tol:
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - GOLDEN * (b - a)
+                fc = objective(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + GOLDEN * (b - a)
+                fd = objective(d)
+        best = 0.5 * (a + b)
+        rate = objective(best)
     chain = with_knob(base_chain, knob, best)
-    return OptimizationResult(
-        knob, best, chain_gdd_fs2(chain, grid, center), objective(best),
-        record, False, tol,
-    )
+    gdd = chain_gdd_fs2(chain, amplitude.omega_grid, amplitude.pump_omega / 2.0)
+    return OptimizationResult(knob, best, gdd, rate, record, edge, tol)
 
 
 def certify_local_maximum(amplitude, base_chain, result):
@@ -314,8 +306,10 @@ def solve_compensating_insertion(amplitude_grid, center_omega, base_chain):
     return value
 
 
-def optimization_report_lines(result):
-    return [
+def write_optimization(result, out):
+    """optimization.txt and scan.csv of an optimization into the directory
+    out; returns the lines of optimization.txt."""
+    lines = [
         f"knob={result.knob}",
         f"optimal_value={result.optimal_value:.17g}",
         f"residual_gdd_fs2={result.residual_gdd_fs2:.17g}",
@@ -323,6 +317,9 @@ def optimization_report_lines(result):
         f"edge_solution={str(result.edge_solution).lower()}",
         f"tolerance={result.tolerance:.17g}",
     ]
+    (out / "optimization.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_scan_csv(result, out / "scan.csv")
+    return lines
 
 
 def write_scan_csv(result, path):

@@ -163,8 +163,10 @@ def group_delay_dispersion(material, thickness_mm, wavelength_nm, temperature_C=
     """Slab phase curvature phi'' = d2 phi / dw2 at a wavelength, in fs^2.
 
     Evaluated from the closed-form index derivatives via
-    phi'' = z lam^3 / (2 pi c^2) d2n/dlam2.
+    phi'' = z lam^3 / (2 pi c^2) d2n/dlam2. thickness_mm >= 0.
     """
+    if thickness_mm < 0:
+        raise ValidationError("slab thickness must be >= 0")
     _check_range(material, wavelength_nm)
     lam_um = wavelength_nm / 1000.0
     _, _, d2n = _n_and_derivatives(material, np.asarray(lam_um, dtype=float), temperature_C)
@@ -309,6 +311,12 @@ class Section:
         if raw is None:
             return self._default(key, default)
         return self._finite(key, raw)
+
+    def positive(self, key, default=None):
+        value = self.number(key, default)
+        if value <= 0:
+            self.fail(key, "must be > 0")
+        return value
 
     def numbers(self, key, default=None, count=None):
         """Whitespace-separated numbers as a tuple; count fixes how many."""

@@ -200,7 +200,7 @@ def parse_scenario_text(text, source="<scenario>"):
     theta_max = np.deg2rad(pupil.number("theta_max_ext_deg", 2.0))
     if pupil.flag("inner_edge", True):
         gap = pupil.number("mirror_gap_mm", 1.5)
-        focal = pupil.number("collimating_focal_mm", 75.0)
+        focal = pupil.positive("collimating_focal_mm", 75.0)
         theta_min = pupil.number("theta_min_ext_rad", gap / 2.0 / focal)
     else:
         theta_min = 0.0
@@ -216,20 +216,22 @@ def parse_scenario_text(text, source="<scenario>"):
         if period <= 0:
             crystals.fail("poling_period_um", "must be > 0 or 'auto'")
 
-    length = crystals.number("length_mm", 5.0)
-    if length <= 0:
-        crystals.fail("length_mm", "must be > 0")
-
-    sigma = spectrum.number("gaussian_sigma", 0.05)
-    if sigma <= 0:
-        spectrum.fail("gaussian_sigma", "must be > 0")
+    grid_spec = _checked(
+        grid, _SECTION_KEYS["grid"], GridSpec,
+        grid.integer("omega_points", 2048),
+        grid.number("omega_half_span", 0.55),
+        grid.integer("radial_points", 256),
+    )
+    sigma = spectrum.positive("gaussian_sigma", 0.05)
     gaussian = spectrum.word("source", "spdc", choices=("spdc", "gaussian")) == "gaussian"
+    if gaussian:
+        _checked(spectrum, ("gaussian_sigma", "source"), spdc.check_gaussian_width,
+                 grid_spec, sigma)
 
-    tau_span = delay.number("tau_span_fs", 150.0)
-    tau_step = delay.number("tau_step_fs", 0.35)
-    for key, value in (("tau_span_fs", tau_span), ("tau_step_fs", tau_step)):
-        if value <= 0:
-            delay.fail(key, "must be > 0")
+    tau_span = delay.positive("tau_span_fs", 150.0)
+    tau_step = delay.positive("tau_step_fs", 0.35)
+    _checked(delay, ("tau_span_fs", "tau_step_fs"), delayscan.check_delay_grid,
+             tau_span, tau_step)
 
     optimize_knob = None
     optimize_bracket = (-200.0, 200.0)
@@ -250,9 +252,9 @@ def parse_scenario_text(text, source="<scenario>"):
 
     return Scenario(
         name=source,
-        pump_wavelength_nm=pump.number("wavelength_nm", 532.0),
+        pump_wavelength_nm=pump.positive("wavelength_nm", 532.0),
         crystal_material=_material(crystals, "material", "mgln_e"),
-        crystal_length_mm=length,
+        crystal_length_mm=crystals.positive("length_mm", 5.0),
         phasematch_temperature_C=crystals.number("phasematch_temperature_C", 50.0),
         poling_period_um=period,
         operating_offset_C=crystals.number("operating_offset_C", -1.5),
@@ -260,12 +262,7 @@ def parse_scenario_text(text, source="<scenario>"):
         half_crystal_phases=crystals.flag("half_crystal_phases", not gaussian),
         theta_max_ext_rad=theta_max,
         theta_min_ext_rad=theta_min,
-        grid=_checked(
-            grid, _SECTION_KEYS["grid"], GridSpec,
-            grid.integer("omega_points", 2048),
-            grid.number("omega_half_span", 0.55),
-            grid.integer("radial_points", 256),
-        ),
+        grid=grid_spec,
         elements=_elements(sec("elements")),
         idler_elements=idler_elements,
         window_elements=_elements(sec("window")),
@@ -352,43 +349,53 @@ def build_system(scenario, grid_scale=1.0):
 
 
 @dataclass
-class OptimizedSystem:
+class StageRun:
+    """The shared stages build -> kernel -> optimum -> chain phases, run once."""
+
     built: BuiltSystem
     kernel: SpectralAmplitude                    # bare S0(w), no spectral phase
+    radial_levels: dict                          # radial order -> evaluation the kernel made
     optimization: OptimizationResult | None      # None = no [optimize] section
     chain: ElementChain                          # signal chain with the optimum knob
+    phases: tuple                                # (signal, idler) chain phases
+    log_lines: list                              # the lines of run.log
 
 
-def build_and_optimize(scenario, grid_scale=1.0, radial_levels=None, log=None):
-    """The shared stages build -> kernel -> optimum of every front end.
+def run_stages(scenario, grid_scale=1.0, log=None):
+    """The stages every front end shares, each run once: build, bare kernel
+    (the Gaussian test spectrum when gaussian_sigma is set, else the SPDC
+    kernel), optimum and chain phases. log receives each line as it is found."""
+    lines = []
 
-    The kernel is the Gaussian test spectrum when gaussian_sigma is set,
-    else the SPDC kernel, to which radial_levels is passed on; log
-    receives the source and the optimum as they are found.
-    """
-    log = log or (lambda msg: None)
+    def note(msg):
+        lines.append(msg)
+        if log is not None:
+            log(msg)
+
     built = build_system(scenario, grid_scale)
+    levels = {}
     if scenario.gaussian_sigma is None:
-        log(
+        note(
             f"poling period {built.config.dc_crystal.poling_period_um:.6f} um, "
             f"crystals at {built.config.dc_crystal.temperature_C:.2f} / "
             f"{built.config.uc_crystal.temperature_C:.2f} C"
         )
-        kernel_s = spdc.kernel_amplitude(built.config, radial_levels)
+        kernel_s = spdc.kernel_amplitude(built.config, levels)
     else:
-        log(f"gaussian test spectrum, sigma = {scenario.gaussian_sigma} rad/fs")
+        note(f"gaussian test spectrum, sigma = {scenario.gaussian_sigma} rad/fs")
         kernel_s = spdc.gaussian_amplitude(built.config, scenario.gaussian_sigma)
     chain, optimization = built.base_chain, None
     if scenario.optimize_knob is not None:
         optimization = optimize_dispersion(
             kernel_s, chain, scenario.optimize_knob, scenario.optimize_bracket
         )
-        log(
+        note(
             f"optimum {scenario.optimize_knob} = {optimization.optimal_value:.3f}, "
             f"residual GDD {optimization.residual_gdd_fs2:.2f} fs^2"
         )
         chain = with_knob(chain, scenario.optimize_knob, optimization.optimal_value)
-    return OptimizedSystem(built, kernel_s, optimization, chain)
+    phases = chain_phases(kernel_s, chain, built.idler_chain)
+    return StageRun(built, kernel_s, levels, optimization, chain, phases, lines)
 
 
 def chain_phases(kernel_s, chain, idler_chain=None):
@@ -414,6 +421,14 @@ def dress(kernel_s, phases, window):
     return spdc.apply_spectral_phase(kernel_s, phi_s, phi_i)
 
 
+def trace_window(stages, window, sc):
+    """The per-window step dress -> trace -> metrics on a stage run, with
+    the delay settings of sc; returns (amplitude, trace, metrics)."""
+    amplitude = dress(stages.kernel, stages.phases, window)
+    tr = delayscan.trace(amplitude, sc.kernel, sc.tau_span_fs, sc.tau_step_fs)
+    return amplitude, tr, delayscan.metrics(tr)
+
+
 # ----------------------------------------------------------------- running
 
 @dataclass
@@ -424,35 +439,21 @@ class RunResult:
     trace_metrics: delayscan.TraceMetrics
     extras: dict
     optimization: OptimizationResult | None
-    artifacts: dict
 
 
 def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
     """Run one scenario and write its artifacts; returns a RunResult."""
-    sink = log or (lambda msg: None)
-    log_lines = []
-
-    def log(msg):
-        log_lines.append(msg)
-        sink(msg)
-
     if isinstance(name_or_scenario, Scenario):
         scenario = name_or_scenario
     else:
         scenario = load_scenario(name_or_scenario)
-    system = build_and_optimize(scenario, grid_scale, log=log)
+    stages = run_stages(scenario, grid_scale, log)
+    optimization = stages.optimization
+    amplitude, tr, tm = trace_window(stages, stages.built.window_chain, scenario)
     extras = {}
-    optimization = system.optimization
     if optimization is not None:
         extras["residual_gdd_fs2"] = f"{optimization.residual_gdd_fs2:.17g}"
-    built = system.built
-    phases = chain_phases(system.kernel, system.chain, built.idler_chain)
-    amplitude = dress(system.kernel, phases, built.window_chain)
     extras["bandwidth_fwhm_nm"] = f"{spdc.bandwidth_fwhm_nm(amplitude):.17g}"
-    tr = delayscan.trace(
-        amplitude, scenario.kernel, scenario.tau_span_fs, scenario.tau_step_fs
-    )
-    tm = delayscan.metrics(tr)
     extras["peak_to_mean_80fs"] = f"{delayscan.peak_to_mean_ratio(tr):.17g}"
     ref = None
     if scenario.kernel == KERNEL_V_MASK:
@@ -472,28 +473,19 @@ def run_scenario(name_or_scenario, out_dir, grid_scale=1.0, log=None):
     # every stage has run: a failure above leaves no output directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = {}
     if optimization is not None:
-        artifacts["optimization_txt"] = out / "optimization.txt"
-        with open(artifacts["optimization_txt"], "w", encoding="utf-8") as fh:
-            fh.write("\n".join(dispersionopt.optimization_report_lines(optimization)) + "\n")
-        artifacts["scan_csv"] = out / "scan.csv"
-        dispersionopt.write_scan_csv(optimization, artifacts["scan_csv"])
+        dispersionopt.write_optimization(optimization, out)
     if ref is not None:
-        artifacts["trace_signal_csv"] = out / "trace_signal.csv"
-        delayscan.write_trace_csv(ref, artifacts["trace_signal_csv"])
-    artifacts["spectrum_csv"] = out / "spectrum.csv"
-    spdc.write_spectrum_csv(amplitude, artifacts["spectrum_csv"])
-    artifacts["trace_csv"] = out / "trace.csv"
-    delayscan.write_trace_csv(tr, artifacts["trace_csv"])
-    artifacts["metrics_txt"] = out / "metrics.txt"
-    delayscan.write_metrics_txt(tm, artifacts["metrics_txt"], extras)
+        delayscan.write_trace_csv(ref, out / "trace_signal.csv")
+    spdc.write_spectrum_csv(amplitude, out / "spectrum.csv")
+    delayscan.write_trace_csv(tr, out / "trace.csv")
+    delayscan.write_metrics_txt(tm, out / "metrics.txt", extras)
     # the log artifact carries only run content, never absolute paths, so
     # identical scenarios produce byte-identical output trees
-    artifacts["run_log"] = out / "run.log"
-    artifacts["run_log"].write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    sink(f"artifacts in {out}")
-    return RunResult(scenario, amplitude, tr, tm, extras, optimization, artifacts)
+    (out / "run.log").write_text("\n".join(stages.log_lines) + "\n", encoding="utf-8")
+    if log is not None:
+        log(f"artifacts in {out}")
+    return RunResult(scenario, amplitude, tr, tm, extras, optimization)
 
 
 # the fig. 3 ladder: (case label, bundled scenario); the first is the optimum
@@ -530,9 +522,8 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
                 f"{sc.name}: a ladder scenario must share the kernel and optimum "
                 f"of {reference.name} and add only slabs"
             )
-    radial_levels = {}
-    system = build_and_optimize(reference, grid_scale, radial_levels)
-    optimization = system.optimization
+    stages = run_stages(reference, grid_scale)
+    optimization = stages.optimization
     if optimization is None or optimization.edge_solution:
         raise ValidationError(
             f"{reference.name}: the ladder needs a dispersion optimum inside the scan bracket"
@@ -545,32 +536,17 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
     )
 
     rows = []
-    phases = chain_phases(system.kernel, system.chain, system.built.idler_chain)
     for case, sc in ladder:
-        window = ElementChain(sc.window_elements)
-        added_gdd = sum(
-            (
-                group_delay_dispersion(
-                    e.material, e.thickness_mm, 2.0 * sc.pump_wavelength_nm, e.temperature_C
-                )
-                for e in window.elements
-            ),
-            0.0,
-        )
-        amplitude = dress(system.kernel, phases, window)
-        tr = delayscan.trace(amplitude, sc.kernel, sc.tau_span_fs, sc.tau_step_fs)
-        tm = delayscan.metrics(tr)
+        lam = 2.0 * sc.pump_wavelength_nm
+        added_gdd = sum((group_delay_dispersion(e.material, e.thickness_mm, lam, e.temperature_C)
+                         for e in sc.window_elements), 0.0)
+        _, tr, tm = trace_window(stages, ElementChain(sc.window_elements), sc)
         delayscan.write_trace_csv(tr, out / f"{case}.csv")
-        rows.append(
-            {
-                "case": case,
-                "added_gdd_fs2": added_gdd,
-                "fwhm_fs": tm.fwhm_fs,
-                "peak_rate": tm.peak_rate,
-                "secondary_maxima_fs": tm.secondary_maxima_fs,
-                "peak_to_mean_80fs": delayscan.peak_to_mean_ratio(tr),
-            }
-        )
+        rows.append(dict(
+            case=case, added_gdd_fs2=added_gdd, fwhm_fs=tm.fwhm_fs, peak_rate=tm.peak_rate,
+            secondary_maxima_fs=tm.secondary_maxima_fs,
+            peak_to_mean_80fs=delayscan.peak_to_mean_ratio(tr),
+        ))
         log(f"{case}: fwhm {tm.fwhm_fs if tm.fwhm_fs else 'undefined'}")
 
     flags = []
@@ -586,16 +562,11 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
 
     # v-mask width-ratio row on the bundled Gaussian spectrum
     gauss = run_scenario("gauss_vmask", out / "gauss_vmask", grid_scale)
-    rows.append(
-        {
-            "case": "gauss_vmask_ratio",
-            "added_gdd_fs2": 0.0,
-            "fwhm_fs": gauss.trace_metrics.fwhm_fs,
-            "peak_rate": gauss.trace_metrics.peak_rate,
-            "secondary_maxima_fs": [],
-            "peak_to_mean_80fs": float(gauss.extras["fwhm_ratio_vmask"]),
-        }
-    )
+    rows.append(dict(
+        case="gauss_vmask_ratio", added_gdd_fs2=0.0, fwhm_fs=gauss.trace_metrics.fwhm_fs,
+        peak_rate=gauss.trace_metrics.peak_rate, secondary_maxima_fs=[],
+        peak_to_mean_80fs=float(gauss.extras["fwhm_ratio_vmask"]),
+    ))
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("case,added_gdd_fs2,fwhm_fs,peak_rate,secondary_maxima_fs,peak_to_mean_80fs\n")
@@ -614,13 +585,10 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
                 f"{row['case']}: added_gdd={row['added_gdd_fs2']:.1f} fs^2 "
                 f"fwhm={fwhm} fs peak={row['peak_rate']:.4g}\n"
             )
-        for flag in flags:
-            fh.write(f"FLAG: {flag}\n")
-        if not flags:
-            fh.write("all ladder checks passed\n")
+        fh.write("".join(f"FLAG: {flag}\n" for flag in flags) or "all ladder checks passed\n")
 
     if refine_check:
-        report = spdc.quadrature_refine(system.built.config, radial_levels=radial_levels)
+        report = spdc.quadrature_refine(stages.built.config, radial_levels=stages.radial_levels)
         with open(out / "convergence.txt", "w", encoding="utf-8") as fh:
             fh.write("shared kernel for all ladder cases\n")
             fh.write("\n".join(report.lines()) + "\n")

@@ -224,11 +224,26 @@ def _bare_amplitude(config, radial_points):
     return SpectralAmplitude(grid, values, config.pump_omega)
 
 
+def _edge_gate(edge, peak):
+    """The grid must be wide enough for |S| to decay at its edges."""
+    if peak > 0 and edge > EDGE_FLOOR * peak:
+        raise ValidationError(f"omega grid too narrow: edge magnitude {edge / peak:.2e} of peak")
+
+
+def check_gaussian_width(grid_spec, sigma):
+    """The edge gate of kernel_amplitude for the Gaussian source, in closed
+    form: |S| peaks at 1 on w_p/2 and the grid edge sits omega_half_span
+    from it, so no sigma, however large, overflows."""
+    if not sigma > 0:
+        raise ValidationError("gaussian_sigma must be > 0")
+    reach = grid_spec.omega_half_span / (2.0 * sigma)
+    _edge_gate(np.exp(-reach * reach), 1.0)
+
+
 def gaussian_amplitude(config, sigma):
     """Gaussian test spectrum |S| = exp(-d^2 / 4 sigma^2), d = w - w_p/2, on the
     config's frequency grid; sigma is the intensity std in rad/fs."""
-    if not sigma > 0:
-        raise ValidationError("gaussian_sigma must be > 0")
+    check_gaussian_width(config.grid, sigma)
     grid = config.grid.omega_grid(config.pump_omega)
     delta = grid - config.pump_omega / 2.0
     values = np.exp(-(delta ** 2) / (4.0 * sigma ** 2))
@@ -295,12 +310,7 @@ def kernel_amplitude(config, radial_levels=None):
             f"({pts} -> {2 * pts} points)",
             estimate=fine,
         )
-    peak = np.max(np.abs(fine.values))
-    edge = max(abs(fine.values[0]), abs(fine.values[-1]))
-    if peak > 0 and edge > EDGE_FLOOR * peak:
-        raise ValidationError(
-            f"omega grid too narrow: edge magnitude {edge / peak:.2e} of peak"
-        )
+    _edge_gate(max(abs(fine.values[0]), abs(fine.values[-1])), np.max(np.abs(fine.values)))
     return fine
 
 

@@ -23,7 +23,7 @@ EMPTY = ElementChain(())
 @pytest.fixture(scope="module")
 def fig3a_half():
     sc = scenario.load_scenario("fig3a")
-    return sc, scenario.build_and_optimize(sc, 0.5)
+    return sc, scenario.run_stages(sc, 0.5)
 
 
 def fig3a_trace(fig3a_half, chain=EMPTY, window=EMPTY, idler_chain=None, odd=None):

@@ -5,6 +5,8 @@ from pairtrace import SamplingError, ValidationError
 from pairtrace.delayscan import (
     KERNEL_SIGNAL_DELAY,
     KERNEL_V_MASK,
+    KERNELS,
+    MAX_TRACE_DELAYS,
     UpconversionTrace,
     metrics,
     metrics_lines,
@@ -170,6 +172,23 @@ def test_undersampled_tau_step_rejected():
     wide = gaussian_amplitude(half_span=0.75)  # span limit: 2pi/(10 span) = 0.419
     with pytest.raises(SamplingError):
         trace(wide, tau_step_fs=0.45)
+
+
+def test_delay_grid_over_work_cap_rejected_before_any_allocation():
+    # 4 span/step + 3 bounds both kernels' delay counts; 6e8 of them here
+    S = gaussian_amplitude()
+    for kernel in KERNELS:
+        with pytest.raises(ValidationError, match="tau_step_fs too small"):
+            trace(S, kernel, tau_span_fs=150.0, tau_step_fs=1e-6)
+        with pytest.raises(ValidationError, match="tau_span_fs too large"):
+            trace(S, kernel, tau_span_fs=1e300, tau_step_fs=0.35)
+        with pytest.raises(ValidationError, match="tau_span_fs must be >= tau_step_fs"):
+            trace(S, kernel, tau_span_fs=1e-300, tau_step_fs=0.35)
+    # the bound holds, and the largest grid the tests trace is far inside the cap
+    bound = 4.0 * 500.0 / 0.35 + 3.0
+    assert bound < MAX_TRACE_DELAYS / 40
+    for kernel in KERNELS:
+        assert trace(S, kernel, tau_span_fs=500.0, tau_step_fs=0.35).tau_grid.size < bound
 
 
 def test_unknown_kernel_rejected():

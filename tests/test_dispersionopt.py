@@ -19,7 +19,7 @@ from pairtrace.dispersionopt import (
     with_knob,
 )
 from pairtrace.materials import spectral_phase_of_slab, taylor_dispersion
-from pairtrace.scenario import build_and_optimize, build_system, load_scenario
+from pairtrace.scenario import build_system, load_scenario, run_stages
 from pairtrace.spdc import GridSpec, SpectralAmplitude, apply_spectral_phase
 
 from conftest import PUMP_OMEGA
@@ -280,7 +280,7 @@ def test_windowed_gdd_readout_equals_the_full_grid_fit(case, monkeypatch):
 def test_fig3a_optimum_bits():
     # the folded objective keeps every scan and golden-section decision of
     # the full-spectrum sum, so the optimum and its readout keep their bits
-    result = build_and_optimize(load_scenario("fig3a")).optimization
+    result = run_stages(load_scenario("fig3a")).optimization
     assert result.optimal_value == 27.68957021240852
     assert result.residual_gdd_fs2 == 27.689564166315517
 

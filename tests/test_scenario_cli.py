@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pairtrace import ValidationError, scenario
+from pairtrace import ValidationError, scenario, spdc
 from pairtrace.cli import main
 from pairtrace.scenario import (
     BUNDLED_SCENARIOS,
@@ -293,7 +293,11 @@ def test_cli_optimize_command(tmp_path):
     )
     assert 10.0 <= float(values["residual_gdd_fs2"]) <= 50.0
     assert values["edge_solution"] == "false"
-    assert (out / "scan.csv").exists()
+    # the same stages and writer as a full run: the same bytes
+    run_scenario("fig3a", tmp_path / "run", grid_scale=0.5)
+    for name in ("optimization.txt", "scan.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    assert result.output == (out / "optimization.txt").read_text()
 
 
 def test_cli_spectrum_grid_scale(tmp_path):
@@ -425,6 +429,23 @@ def test_ladder_builds_only_the_optimum_and_the_gaussian_run(tmp_path, monkeypat
     assert built == ["fig3a.scn", "gauss_vmask.scn"]
 
 
+def test_reproduce_fig3_evaluates_each_radial_order_once(tmp_path, monkeypatch):
+    calls = []
+    bare = spdc._bare_amplitude
+
+    def counted(config, radial_points):
+        calls.append((config.grid.omega_points, radial_points))
+        return bare(config, radial_points)
+
+    monkeypatch.setattr(spdc, "_bare_amplitude", counted)
+    reproduce_fig3(tmp_path / "fig3", grid_scale=0.5, refine_check=True)
+    n = load_scenario("fig3a").grid.scaled(0.5).omega_points
+    orders = [pts for omega, pts in calls if omega == n]
+    assert len(orders) == len(set(orders)) >= 2
+    # the refinement adds only its (2n - 1)-point grid, at the kernel's order
+    assert calls == [(n, pts) for pts in orders] + [(2 * n - 1, orders[-1])]
+
+
 def test_cli_reproduce_fig3_failing_build_leaves_no_out(tmp_path):
     out = tmp_path / "X"
     result = CliRunner().invoke(
@@ -526,9 +547,14 @@ def test_spdc_vmask_scenario_writes_signal_reference(tmp_path):
         (["trace", "--scenario", "gauss_vmask", "--grid-scale", "inf"], "'--grid-scale'"),
         (["material-gdd", "--material", "sf10", "--thickness-mm", "nan"], "'--thickness-mm'"),
         (["qpm-solve", "--temperature-c", "inf"], "'--temperature-c'"),
+        (["qpm-solve", "--pump-nm", "0"], "--pump-nm must be > 0"),
+        (["qpm-solve", "--pump-nm", "-532"], "--pump-nm must be > 0"),
+        (["material-gdd", "--material", "fused_silica", "--thickness-mm", "-1"],
+         "slab thickness must be >= 0"),
     ],
     ids=["fig3a_nan", "gauss_zero", "gauss_negative", "gauss_nan", "gauss_inf",
-         "material_gdd_nan", "qpm_solve_inf"],
+         "material_gdd_nan", "qpm_solve_inf", "qpm_solve_pump_zero",
+         "qpm_solve_pump_negative", "material_gdd_negative_thickness"],
 )
 def test_cli_bad_option_value_exits_2_before_any_work(tmp_path, args, words):
     out = tmp_path / "out"
@@ -561,6 +587,48 @@ def test_non_positive_values_rejected_at_parse_citing_line(text, words):
         parse_scenario_text(text, source="bad.scn")
     assert str(err.value).startswith("bad.scn:2: ")
     assert words in str(err.value)
+
+
+def bundled_with(name, key, value):
+    """A bundled scenario's text with one key's value replaced, and its line."""
+    lines = scenario_path(name).read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.split("=")[0].strip() == key)
+    lines[index] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", index + 1
+
+
+@pytest.mark.parametrize(
+    "name, key, value, words",
+    [
+        ("fig3a", "wavelength_nm", "0", "must be > 0"),
+        ("gauss_vmask", "wavelength_nm", "0", "must be > 0"),
+        ("fig3a", "wavelength_nm", "-532", "must be > 0"),
+        ("fig3a", "collimating_focal_mm", "0", "must be > 0"),
+        ("fig3a", "tau_span_fs", "1e-300", "tau_span_fs must be >= tau_step_fs"),
+        ("gauss_vmask", "gaussian_sigma", "1e300", "omega grid too narrow"),
+        ("gauss_vmask", "tau_span_fs", "1e300", "tau_span_fs too large"),
+        ("fig3a", "tau_step_fs", "1e-6", "tau_step_fs too small"),
+        ("gauss_vmask", "tau_step_fs", "1e-6", "tau_step_fs too small"),
+    ],
+    ids=["fig3a_pump_zero", "gauss_pump_zero", "fig3a_pump_negative", "focal_zero",
+         "tau_span_tiny", "sigma_huge", "tau_span_huge", "fig3a_tau_step_tiny",
+         "gauss_tau_step_tiny"],
+)
+def test_cli_scenario_value_out_of_range_exits_2_citing_line(
+    tmp_path, name, key, value, words
+):
+    scn = tmp_path / f"{name}.scn"
+    text, line = bundled_with(name, key, value)
+    scn.write_text(text)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["trace", "--scenario", str(scn), "--out", str(out), "--grid-scale", "0.25"]
+    )
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {scn}:{line}: ")
+    assert f"{key}: " in lines[0] and words in lines[0]
+    assert not out.exists()
 
 
 def test_cli_grid_over_work_cap_exits_2_before_any_work(tmp_path):
