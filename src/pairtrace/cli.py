@@ -141,16 +141,6 @@ def trace_cmd(name, out_dir, grid_scale):
         click.echo(line)
 
 
-@main.command("spectrum")
-@_scenario_options
-@_trap_errors
-def spectrum_cmd(name, out_dir, grid_scale):
-    """Compute S(w) for a scenario and write the spectrum CSV."""
-    result = scenario_mod.run_scenario(name, out_dir, grid_scale, _log)
-    click.echo(f"spectrum_csv={Path(out_dir) / 'spectrum.csv'}")
-    click.echo(f"bandwidth_fwhm_nm={result.extras['bandwidth_fwhm_nm']}")
-
-
 @main.command("optimize")
 @_scenario_options
 @_trap_errors

@@ -123,9 +123,24 @@ def _check_range(material, wavelength_nm):
     wmax = np.max(wavelength_nm)
     if wmin < lo or wmax > hi:
         raise WavelengthRangeError(
-            f"wavelength {wmin:.1f}-{wmax:.1f} nm outside validity range "
+            f"wavelength {wmin:.6g}-{wmax:.6g} nm outside validity range "
             f"[{lo:.0f}, {hi:.0f}] nm of material {material.name!r}"
         )
+
+
+def index_is_finite(material, wavelength_nm, temperature_C):
+    """Whether n(lam, T) at one wavelength evaluates to a finite number with
+    no overflow on the way. It prints no numpy warning, however far
+    temperature_C lies outside the fit of the crystal formula."""
+    _check_range(material, wavelength_nm)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            n, _, _ = _n_and_derivatives(
+                material, np.float64(wavelength_nm / 1000.0), np.float64(temperature_C)
+            )
+    except FloatingPointError:
+        return False
+    return bool(np.isfinite(n))
 
 
 def refractive_index(material, wavelength_nm, temperature_C=20.0):

@@ -34,6 +34,7 @@ from .materials import (
     Section,
     bundled_registry,
     group_delay_dispersion,
+    index_is_finite,
     read_sections,
 )
 from .phasematch import CrystalSpec, solve_poling_period
@@ -197,6 +198,29 @@ def parse_scenario_text(text, source="<scenario>"):
     delay = sec("delay")
     spectrum = sec("spectrum")
 
+    pump_nm = pump.positive("wavelength_nm", 532.0)
+    pump_omega = omega_from_wavelength_nm(pump_nm)
+    material = _material(crystals, "material", "mgln_e")
+    t_pm = crystals.number("phasematch_temperature_C", 50.0)
+    operating_offset = crystals.number("operating_offset_C", -1.5)
+    uc_offset = crystals.number("uc_temperature_offset_C", 0.0)
+    sigma = spectrum.positive("gaussian_sigma", 0.05)
+    gaussian = spectrum.word("source", "spdc", choices=("spdc", "gaussian")) == "gaussian"
+    if not gaussian:
+        # the poling-period solve reads the crystal index at the pump and the
+        # degenerate wavelength, and the crystals at their own temperatures
+        t_dc = t_pm + operating_offset
+        for key, temperature in (
+            ("phasematch_temperature_C", t_pm),
+            ("operating_offset_C", t_dc),
+            ("uc_temperature_offset_C", t_dc + uc_offset),
+        ):
+            for lam in (pump_nm, 2.0 * pump_nm):
+                if not _checked(pump, ("wavelength_nm",), index_is_finite,
+                                material, lam, temperature):
+                    crystals.fail(key, f"index of {material.name!r} is not finite "
+                                       f"at {temperature:.4g} C")
+
     theta_max = np.deg2rad(pupil.number("theta_max_ext_deg", 2.0))
     if pupil.flag("inner_edge", True):
         gap = pupil.number("mirror_gap_mm", 1.5)
@@ -222,9 +246,12 @@ def parse_scenario_text(text, source="<scenario>"):
         grid.number("omega_half_span", 0.55),
         grid.integer("radial_points", 256),
     )
-    sigma = spectrum.positive("gaussian_sigma", 0.05)
-    gaussian = spectrum.word("source", "spdc", choices=("spdc", "gaussian")) == "gaussian"
+    _checked(grid, ("omega_half_span",), grid_spec.check_pump, pump_omega)
     if gaussian:
+        # a sigma below the frequency step leaves the peak one sample wide
+        if sigma < grid_spec.omega_step:
+            spectrum.fail("gaussian_sigma", f"{sigma:.4g} rad/fs is below the grid's "
+                          f"frequency step {grid_spec.omega_step:.4g} rad/fs")
         _checked(spectrum, ("gaussian_sigma", "source"), spdc.check_gaussian_width,
                  grid_spec, sigma)
 
@@ -252,13 +279,13 @@ def parse_scenario_text(text, source="<scenario>"):
 
     return Scenario(
         name=source,
-        pump_wavelength_nm=pump.positive("wavelength_nm", 532.0),
-        crystal_material=_material(crystals, "material", "mgln_e"),
+        pump_wavelength_nm=pump_nm,
+        crystal_material=material,
         crystal_length_mm=crystals.positive("length_mm", 5.0),
-        phasematch_temperature_C=crystals.number("phasematch_temperature_C", 50.0),
+        phasematch_temperature_C=t_pm,
         poling_period_um=period,
-        operating_offset_C=crystals.number("operating_offset_C", -1.5),
-        uc_temperature_offset_C=crystals.number("uc_temperature_offset_C", 0.0),
+        operating_offset_C=operating_offset,
+        uc_temperature_offset_C=uc_offset,
         half_crystal_phases=crystals.flag("half_crystal_phases", not gaussian),
         theta_max_ext_rad=theta_max,
         theta_min_ext_rad=theta_min,

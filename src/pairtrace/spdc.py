@@ -91,10 +91,24 @@ class GridSpec:
         if self.omega_half_span <= 0:
             raise ValidationError("omega_half_span must be > 0")
 
+    @property
+    def omega_step(self):
+        """Spacing of omega_grid in rad/fs."""
+        return 2.0 * self.omega_half_span / (self.omega_points - 1)
+
+    def check_pump(self, pump_omega):
+        """The grid and its idler partners w_p - w hold only positive frequencies."""
+        if not self.omega_half_span < pump_omega / 2.0:
+            raise ValidationError(
+                f"omega_half_span {self.omega_half_span:.4g} rad/fs must be < "
+                f"w_p/2 = {pump_omega / 2.0:.4g} rad/fs"
+            )
+
     def omega_grid(self, pump_omega):
         """Uniform grid centered exactly on w_p/2, symmetric sample layout."""
+        self.check_pump(pump_omega)
         n = self.omega_points
-        step = 2.0 * self.omega_half_span / (n - 1)
+        step = self.omega_step
         offsets = (np.arange(n) - (n - 1) / 2.0) * step
         return pump_omega / 2.0 + offsets
 

@@ -1,11 +1,19 @@
-"""Shared fixtures: the default system and its expensive intermediates are
-computed once per session and reused across test modules. Also hosts the
-acceptance-summary hook that prints one pass/fail line per criterion."""
+"""Shared fixtures: the bundled fig3a scenario runs once per session through
+the shared stages, and its intermediates are reused across test modules.
+Also hosts the acceptance-summary hook that prints one pass/fail line per
+criterion."""
 
-import numpy as np
 import pytest
 
+from pairtrace.scenario import load_scenario, run_stages
+from pairtrace.units import omega_from_wavelength_nm
+
 ACCEPTANCE_LINES = []
+
+# fig3a's pump and crystal temperatures, for tests that build their own systems
+PUMP_OMEGA = omega_from_wavelength_nm(532.0)
+T_PM_C = 50.0
+T_OP_C = T_PM_C - 1.5
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -14,68 +22,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from pairtrace.dispersionopt import (
-    ElementChain,
-    PhaseCorrection,
-    PrismCompressor,
-    Slab,
-    optimize_dispersion,
-    solve_compensating_insertion,
-    with_knob,
-    KNOB_INSERTION,
-)
-from pairtrace.materials import get_material
-from pairtrace.phasematch import CrystalSpec, solve_poling_period
-from pairtrace.spdc import PupilSpec, SpdcConfig, kernel_amplitude
-from pairtrace.units import omega_from_wavelength_nm
 
-PUMP_OMEGA = omega_from_wavelength_nm(532.0)
-T_PM_C = 50.0
-T_OP_C = T_PM_C - 1.5
+@pytest.fixture(scope="session")
+def fig3a_stages():
+    """The StageRun of fig3a: build, kernel, optimum and chain phases."""
+    return run_stages(load_scenario("fig3a"))
 
 
 @pytest.fixture(scope="session")
-def poling_period():
-    return solve_poling_period(get_material("mgln_e"), PUMP_OMEGA, T_PM_C)
+def poling_period(fig3a_stages):
+    return fig3a_stages.built.config.dc_crystal.poling_period_um
 
 
 @pytest.fixture(scope="session")
-def default_config(poling_period):
-    ln = get_material("mgln_e")
-    dc = CrystalSpec(ln, 5.0, poling_period, T_OP_C)
-    uc = CrystalSpec(ln, 5.0, poling_period, T_OP_C)
-    pupil = PupilSpec(0.75 / 75.0, np.deg2rad(2.0))
-    return SpdcConfig(dc, uc, pupil, PUMP_OMEGA)
+def default_config(fig3a_stages):
+    return fig3a_stages.built.config
 
 
 @pytest.fixture(scope="session")
-def default_kernel(default_config):
-    return kernel_amplitude(default_config)
+def default_kernel(fig3a_stages):
+    return fig3a_stages.kernel
 
 
 @pytest.fixture(scope="session")
-def base_chain(default_kernel):
+def base_chain(fig3a_stages):
     """Half crystals plus the compressor at curvature-compensating insertion."""
-    ln = get_material("mgln_e")
-    sf14 = get_material("sf14")
-    chain = ElementChain(
-        (
-            Slab(ln, 2.5, T_OP_C),
-            PrismCompressor(sf14, 352.0, 5.0),
-            Slab(ln, 2.5, T_OP_C),
-        )
-    )
-    insertion = solve_compensating_insertion(
-        default_kernel.omega_grid, PUMP_OMEGA / 2.0, chain
-    )
-    return with_knob(chain, KNOB_INSERTION, insertion)
+    return fig3a_stages.built.base_chain
 
 
 @pytest.fixture(scope="session")
-def optimum(default_kernel, base_chain):
+def optimum(fig3a_stages):
     """Dispersion optimization result and the optimized chain."""
-    result = optimize_dispersion(
-        default_kernel, base_chain, "correction_gdd_fs2", (-200.0, 200.0)
-    )
-    chain = base_chain.extended(PhaseCorrection(gdd_fs2=result.optimal_value))
-    return result, chain
+    return fig3a_stages.optimization, fig3a_stages.chain

@@ -19,30 +19,18 @@ from pairtrace.delayscan import (
     peak_to_mean_ratio,
     trace,
 )
-from pairtrace.dispersionopt import (
-    ElementChain,
-    PhaseCorrection,
-    PrismCompressor,
-    Slab,
-    certify_local_maximum,
-    optimize_dispersion,
-    solve_compensating_insertion,
-    with_knob,
-    KNOB_INSERTION,
-)
-from pairtrace.phasematch import CrystalSpec, delta_kz, solve_phasematch_temperature, solve_poling_period
+from pairtrace.dispersionopt import certify_local_maximum
+from pairtrace.phasematch import CrystalSpec, delta_kz, solve_phasematch_temperature
+from pairtrace.scenario import load_scenario, reproduce_fig3, run_stages, trace_window
 from pairtrace.spdc import (
     GridSpec,
-    PupilSpec,
-    SpdcConfig,
     SpectralAmplitude,
     apply_spectral_phase,
     bandwidth_fwhm_nm,
-    kernel_amplitude,
     quadrature_refine,
 )
 
-from conftest import ACCEPTANCE_LINES, PUMP_OMEGA, T_OP_C, T_PM_C
+from conftest import ACCEPTANCE_LINES, PUMP_OMEGA, T_PM_C
 
 CENTER = PUMP_OMEGA / 2.0
 
@@ -58,46 +46,19 @@ def record(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def ladder(default_kernel, optimum):
-    """Metrics for the optimum trace and the four common-GDD window cases."""
-    _, chain_opt = optimum
-    fs = get_material("fused_silica")
-    sf10 = get_material("sf10")
-    grid = default_kernel.omega_grid
-    cases = []
-    for label, extra in (
-        ("optimum", None),
-        ("99", Slab(fs, 6.0)),
-        ("198", Slab(fs, 12.0)),
-        ("513", Slab(sf10, 5.0)),
-        ("3790", Slab(sf10, 37.0)),
-    ):
-        chain = chain_opt if extra is None else chain_opt.extended(extra)
-        phi = chain.phase(grid, CENTER)
-        amp = apply_spectral_phase(default_kernel, phi, phi)
-        tr = trace(amp)
-        cases.append((label, amp, tr, metrics(tr)))
-    return cases
+def ladder(tmp_path_factory):
+    """The five rung rows of reproduce_fig3: the optimum trace and the four
+    common-GDD window cases, by case name."""
+    rows = reproduce_fig3(tmp_path_factory.mktemp("fig3"))["rows"][:5]
+    return {row["case"]: row for row in rows}
 
 
 def test_criterion_1_optimal_trace_shape_and_runtime():
     # fresh end-to-end run so the timing covers the whole pipeline
     t0 = time.monotonic()
-    ln = get_material("mgln_e")
-    sf14 = get_material("sf14")
-    period = solve_poling_period(ln, PUMP_OMEGA, T_PM_C)
-    dc = CrystalSpec(ln, 5.0, period, T_OP_C)
-    uc = CrystalSpec(ln, 5.0, period, T_OP_C)
-    config = SpdcConfig(dc, uc, PupilSpec(0.75 / 75.0, np.deg2rad(2.0)), PUMP_OMEGA)
-    kernel = kernel_amplitude(config)
-    chain = ElementChain((Slab(ln, 2.5, T_OP_C), PrismCompressor(sf14, 352.0, 5.0),
-                          Slab(ln, 2.5, T_OP_C)))
-    insertion = solve_compensating_insertion(kernel.omega_grid, CENTER, chain)
-    chain = with_knob(chain, KNOB_INSERTION, insertion)
-    result = optimize_dispersion(kernel, chain, "correction_gdd_fs2", (-200.0, 200.0))
-    chain = chain.extended(PhaseCorrection(gdd_fs2=result.optimal_value))
-    phi = chain.phase(kernel.omega_grid, CENTER)
-    m = metrics(trace(apply_spectral_phase(kernel, phi, phi)))
+    sc = load_scenario("fig3a")
+    stages = run_stages(sc)
+    _, _, m = trace_window(stages, stages.built.window_chain, sc)
     elapsed = time.monotonic() - t0
 
     ok_width = m.fwhm_fs is not None and abs(m.fwhm_fs - 25.0) <= 2.5
@@ -114,28 +75,29 @@ def test_criterion_1_optimal_trace_shape_and_runtime():
 
 
 def test_criterion_2_gdd_ladder(ladder):
-    widths = {label: m.fwhm_fs for label, _, _, m in ladder}
-    peaks = [m.peak_rate for _, _, _, m in ladder]
-    ok_99 = abs(widths["99"] - 26.0) <= 2.6
-    ok_198 = abs(widths["198"] - 30.9) <= 3.09
+    widths = {case: row["fwhm_fs"] for case, row in ladder.items()}
+    peaks = [row["peak_rate"] for row in ladder.values()]
+    ok_99 = abs(widths["fig3b_fs6mm"] - 26.0) <= 2.6
+    ok_198 = abs(widths["fig3b_fs12mm"] - 30.9) <= 3.09
     ok_peaks = all(a > b for a, b in zip(peaks, peaks[1:]))
     ok = record(
         2,
         ok_99 and ok_198 and ok_peaks,
-        f"fwhm(99) {widths['99']:.2f} fs (26.0 +-10%), fwhm(198) {widths['198']:.2f} fs "
-        f"(30.9 +-10%), peaks strictly decreasing {ok_peaks}",
+        f"fwhm(99) {widths['fig3b_fs6mm']:.2f} fs (26.0 +-10%), "
+        f"fwhm(198) {widths['fig3b_fs12mm']:.2f} fs (30.9 +-10%), "
+        f"peaks strictly decreasing {ok_peaks}",
     )
     assert ok
 
 
 def test_criterion_3_extreme_dispersion_flat(ladder):
-    _, _, tr, m = ladder[-1]
-    ratio = peak_to_mean_ratio(tr, 80.0)
+    row = ladder["fig3d_sf10_37mm"]
+    ratio, fwhm = row["peak_to_mean_80fs"], row["fwhm_fs"]
     ok = record(
         3,
         ratio < 1.5,
         f"3790 fs^2 trace peak/mean {ratio:.3f} over +-80 fs (< 1.5), "
-        f"fwhm {'undefined' if m.fwhm_fs is None else f'{m.fwhm_fs:.0f} fs'}",
+        f"fwhm {'undefined' if fwhm is None else f'{fwhm:.0f} fs'}",
     )
     assert ok
 
@@ -176,12 +138,9 @@ def test_criterion_6_material_fixtures():
 
 
 def test_criterion_7_vmask_ratio():
-    sigma = 0.05
-    grid = GridSpec(2048, 0.55, 16).omega_grid(PUMP_OMEGA)
-    d = grid - CENTER
-    amp = SpectralAmplitude(
-        grid, np.exp(-(d ** 2) / (4.0 * sigma ** 2)).astype(complex), PUMP_OMEGA
-    )
+    sc = load_scenario("gauss_vmask")
+    sigma = sc.gaussian_sigma
+    amp = run_stages(sc).kernel
     m_ref = metrics(trace(amp, KERNEL_SIGNAL_DELAY))
     m_v = metrics(trace(amp, KERNEL_V_MASK))
     analytic = np.sqrt(2.0 * np.log(2.0)) / sigma
@@ -198,19 +157,14 @@ def test_criterion_7_vmask_ratio():
 
 
 @pytest.fixture(scope="module")
-def detuned_pair(poling_period, default_kernel, optimum):
-    """Matched and +20 C upconversion-detuned traces under one chain."""
-    _, chain_opt = optimum
-    ln = get_material("mgln_e")
-    dc = CrystalSpec(ln, 5.0, poling_period, T_OP_C)
-    uc_hot = CrystalSpec(ln, 5.0, poling_period, T_OP_C + 20.0)
-    config = SpdcConfig(dc, uc_hot, PupilSpec(0.75 / 75.0, np.deg2rad(2.0)), PUMP_OMEGA)
-    kernel_hot = kernel_amplitude(config)
-    grid = kernel_hot.omega_grid
-    phi = chain_opt.phase(grid, CENTER)
-    hot = apply_spectral_phase(kernel_hot, phi, phi)
-    matched = apply_spectral_phase(default_kernel, phi, phi)
-    return trace(matched), trace(hot)
+def detuned_pair(fig3a_stages):
+    """Matched and +20 C upconversion-detuned traces under fig3a's optimized
+    chain phases."""
+    hot = run_stages(load_scenario("fig2b_detuned")).kernel
+    return tuple(
+        trace(apply_spectral_phase(kernel, *fig3a_stages.phases))
+        for kernel in (fig3a_stages.kernel, hot)
+    )
 
 
 def test_criterion_8_detuning_suppresses_trace(detuned_pair):
@@ -245,12 +199,10 @@ def test_criterion_8_literal_standalone_flatness(detuned_pair):
     assert ratio < 1.5
 
 
-def test_criterion_9_property_suite(default_config, default_kernel, optimum, poling_period):
+def test_criterion_9_property_suite(default_config, default_kernel, fig3a_stages, poling_period):
     results = {}
-    _, chain_opt = optimum
     grid = default_kernel.omega_grid
-    phi = chain_opt.phase(grid, CENTER)
-    amp = apply_spectral_phase(default_kernel, phi, phi)
+    amp = apply_spectral_phase(default_kernel, *fig3a_stages.phases)
     tr = trace(amp)
 
     results["parseval"] = parseval_check(amp, tr) < 1e-6

@@ -305,7 +305,7 @@ def test_cli_spectrum_grid_scale(tmp_path):
     out = tmp_path / "spec"
     result = runner.invoke(
         main,
-        ["spectrum", "--scenario", "fig2b_detuned", "--out", str(out),
+        ["trace", "--scenario", "fig2b_detuned", "--out", str(out),
          "--grid-scale", "0.25"],
     )
     assert result.exit_code == 0
@@ -521,8 +521,8 @@ def test_pump_outside_the_crystal_range_fails_only_the_spdc_source(tmp_path):
     assert "fwhm_ratio_vmask=" in outputs["gauss_vmask"].output
     assert outputs["fig3a"].exit_code == 2
     assert outputs["fig3a"].output.splitlines() == [
-        "error: wavelength 400.0-400.0 nm outside validity range [500, 4000] nm "
-        "of material 'mgln_e'"
+        f"error: {tmp_path / 'fig3a_400.scn'}:5: [pump] wavelength_nm: wavelength 400-400 nm "
+        "outside validity range [500, 4000] nm of material 'mgln_e'"
     ]
 
 
@@ -609,10 +609,20 @@ def bundled_with(name, key, value):
         ("gauss_vmask", "tau_span_fs", "1e300", "tau_span_fs too large"),
         ("fig3a", "tau_step_fs", "1e-6", "tau_step_fs too small"),
         ("gauss_vmask", "tau_step_fs", "1e-6", "tau_step_fs too small"),
+        ("fig3a", "phasematch_temperature_C", "1e300", "index of 'mgln_e' is not finite"),
+        ("fig3a", "phasematch_temperature_C", "1e130", "index of 'mgln_e' is not finite"),
+        ("fig3a", "operating_offset_C", "1e300", "index of 'mgln_e' is not finite"),
+        ("fig3a", "uc_temperature_offset_C", "1e300", "index of 'mgln_e' is not finite"),
+        ("gauss_vmask", "gaussian_sigma", "1e-300", "below the grid's frequency step"),
+        ("gauss_vmask", "omega_half_span", "1e300", "must be < w_p/2"),
+        ("fig3a", "omega_half_span", "1.8", "must be < w_p/2"),
+        ("fig3a", "wavelength_nm", "1e300", "outside validity range"),
     ],
     ids=["fig3a_pump_zero", "gauss_pump_zero", "fig3a_pump_negative", "focal_zero",
          "tau_span_tiny", "sigma_huge", "tau_span_huge", "fig3a_tau_step_tiny",
-         "gauss_tau_step_tiny"],
+         "gauss_tau_step_tiny", "phasematch_temperature_huge",
+         "phasematch_temperature_overflow", "operating_offset_huge", "uc_offset_huge",
+         "sigma_below_step", "gauss_span_huge", "span_above_half_pump", "fig3a_pump_huge"],
 )
 def test_cli_scenario_value_out_of_range_exits_2_citing_line(
     tmp_path, name, key, value, words
@@ -628,6 +638,7 @@ def test_cli_scenario_value_out_of_range_exits_2_citing_line(
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {scn}:{line}: ")
     assert f"{key}: " in lines[0] and words in lines[0]
+    assert len(lines[0]) - len(str(scn)) < 200
     assert not out.exists()
 
 
