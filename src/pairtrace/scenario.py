@@ -381,7 +381,6 @@ class StageRun:
 
     built: BuiltSystem
     kernel: SpectralAmplitude                    # bare S0(w), no spectral phase
-    radial_levels: dict                          # radial order -> evaluation the kernel made
     optimization: OptimizationResult | None      # None = no [optimize] section
     chain: ElementChain                          # signal chain with the optimum knob
     phases: tuple                                # (signal, idler) chain phases
@@ -400,14 +399,13 @@ def run_stages(scenario, grid_scale=1.0, log=None):
             log(msg)
 
     built = build_system(scenario, grid_scale)
-    levels = {}
     if scenario.gaussian_sigma is None:
         note(
             f"poling period {built.config.dc_crystal.poling_period_um:.6f} um, "
             f"crystals at {built.config.dc_crystal.temperature_C:.2f} / "
             f"{built.config.uc_crystal.temperature_C:.2f} C"
         )
-        kernel_s = spdc.kernel_amplitude(built.config, levels)
+        kernel_s = spdc.kernel_amplitude(built.config)
     else:
         note(f"gaussian test spectrum, sigma = {scenario.gaussian_sigma} rad/fs")
         kernel_s = spdc.gaussian_amplitude(built.config, scenario.gaussian_sigma)
@@ -422,7 +420,7 @@ def run_stages(scenario, grid_scale=1.0, log=None):
         )
         chain = with_knob(chain, scenario.optimize_knob, optimization.optimal_value)
     phases = chain_phases(kernel_s, chain, built.idler_chain)
-    return StageRun(built, kernel_s, levels, optimization, chain, phases, lines)
+    return StageRun(built, kernel_s, optimization, chain, phases, lines)
 
 
 def chain_phases(kernel_s, chain, idler_chain=None):
@@ -615,7 +613,7 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
         fh.write("".join(f"FLAG: {flag}\n" for flag in flags) or "all ladder checks passed\n")
 
     if refine_check:
-        report = spdc.quadrature_refine(stages.built.config, radial_levels=stages.radial_levels)
+        report = spdc.quadrature_refine(stages.built.config, stages.kernel)
         with open(out / "convergence.txt", "w", encoding="utf-8") as fh:
             fh.write("shared kernel for all ladder cases\n")
             fh.write("\n".join(report.lines()) + "\n")

@@ -145,6 +145,7 @@ class SpectralAmplitude:
     omega_grid: np.ndarray
     values: np.ndarray
     pump_omega: float
+    radial_step: tuple | None = None  # kernel_amplitude's last (coarser order, change)
 
     def __post_init__(self):
         self.omega_grid = np.asarray(self.omega_grid, dtype=float)
@@ -271,53 +272,31 @@ def _relative_change(coarse, fine):
     return float(np.max(np.abs(fine.values - coarse.values)) / scale)
 
 
-def _level(config, levels, pts):
-    """Evaluation at radial order pts, computed once into levels."""
-    if pts not in levels:
-        levels[pts] = _bare_amplitude(config, pts)
-    return levels[pts]
-
-
-def _radial_ladder(config, levels):
-    """Adaptive radial order, the one path kernel_amplitude and
-    quadrature_refine share.
+def kernel_amplitude(config):
+    """S(w_s) for zero added spectral phase, radially converged.
 
     Starts at min(8, radial_points) radial nodes and doubles the order
     until two successive orders differ by at most QUADRATURE_RTOL of the
-    peak or the coarser order reaches radial_points, the cap; a cap off the
-    doubling ladder is the last coarse order. Evaluations are taken from
-    and stored in levels by radial order. Returns the coarser order of the
-    last pair, the change across it and the finer evaluation.
+    peak, and returns the finer evaluation of that pair; a cap of
+    radial_points off the doubling ladder is the last coarse order. The
+    result records the pair as radial_step, (coarser order, change). If the
+    gate still fails at radial_points -> 2 radial_points, raises
+    ConvergenceError carrying the finer estimate. Also enforces that the
+    grid is wide enough for the spectrum to decay at the edges.
     """
     cap = config.grid.radial_points
     pts = min(8, cap)
-    coarse = _level(config, levels, pts)
+    coarse = _bare_amplitude(config, pts)
     while True:
-        fine = _level(config, levels, 2 * pts)
+        fine = _bare_amplitude(config, 2 * pts)
         change = _relative_change(coarse, fine)
         if change <= QUADRATURE_RTOL or pts >= cap:
-            return pts, change, fine
+            break
         pts, coarse = 2 * pts, fine
         if pts > cap:
             pts = cap
-            coarse = _level(config, levels, cap)
-
-
-def kernel_amplitude(config, radial_levels=None):
-    """S(w_s) for zero added spectral phase, radially converged.
-
-    Runs the adaptive radial order and returns the finer evaluation of the
-    first pair that differs by at most 0.1% of the peak. If the gate still
-    fails at radial_points -> 2 radial_points, raises ConvergenceError
-    carrying the finer estimate. Also enforces that the grid is wide enough
-    for the spectrum to decay at the edges. When a dict is given as
-    radial_levels, every evaluation is stored in it by radial order, for
-    quadrature_refine to reuse.
-    """
-    levels = {}
-    pts, change, fine = _radial_ladder(config, levels)
-    if radial_levels is not None:
-        radial_levels.update(levels)
+            coarse = _bare_amplitude(config, cap)
+    fine.radial_step = (pts, change)
     if change > QUADRATURE_RTOL:
         raise ConvergenceError(
             f"radial quadrature changed by {change:.2e} on refinement "
@@ -351,39 +330,37 @@ def apply_spectral_phase(amplitude, phi_s, phi_i):
 
 @dataclass
 class ConvergenceReport:
-    """Relative changes per refinement doubling, radial and frequency; it
-    passes when the last change of each is below QUADRATURE_RTOL."""
+    """Relative change of one refinement doubling each, radial and
+    frequency, as (points before, change); it passes when both are below
+    QUADRATURE_RTOL."""
 
-    radial_steps: list
-    omega_steps: list
+    radial_step: tuple
+    omega_step: tuple
 
     @property
     def passed(self):
-        return max(self.radial_steps[-1][1], self.omega_steps[-1][1]) < QUADRATURE_RTOL
+        return max(self.radial_step[1], self.omega_step[1]) < QUADRATURE_RTOL
 
     def lines(self):
-        out = []
-        for pts, change in self.radial_steps:
-            out.append(f"radial {pts:>6d} -> {2 * pts:<6d} max-change {change:.3e}")
-        for pts, change in self.omega_steps:
-            out.append(f"omega  {pts:>6d} -> {2 * pts - 1:<6d} max-change {change:.3e}")
-        out.append(f"threshold {QUADRATURE_RTOL:.1e}  passed {self.passed}")
-        return out
+        pts, radial_change = self.radial_step
+        n, omega_change = self.omega_step
+        return [
+            f"radial {pts:>6d} -> {2 * pts:<6d} max-change {radial_change:.3e}",
+            f"omega  {n:>6d} -> {2 * n - 1:<6d} max-change {omega_change:.3e}",
+            f"threshold {QUADRATURE_RTOL:.1e}  passed {self.passed}",
+        ]
 
 
-def quadrature_refine(config, radial_levels=None):
-    """Refinement check: double the radial and the frequency sampling once each.
+def quadrature_refine(config, kernel):
+    """Refinement check of kernel_amplitude(config), the kernel given.
 
-    Report-only; each entry is (points_before, max relative change against
-    the doubled evaluation, measured against the finer peak). The radial
-    doubling is the last pair of the kernel's adaptive order, and the
-    frequency doubling runs at the order the kernel returns. radial_levels
-    maps radial orders to evaluations on the configured frequency grid that
-    kernel_amplitude already computed for this config; they are reused, and
-    each missing level is computed once.
+    Report-only. The radial doubling is the kernel's radial_step, the last
+    pair of its adaptive order; the frequency doubling evaluates the grid
+    of half the spacing at the order the kernel returned. Each change is
+    the max relative change against the doubled evaluation, measured
+    against the finer peak.
     """
-    start, radial_change, prev = _radial_ladder(config, dict(radial_levels or {}))
-
+    start, radial_change = kernel.radial_step
     # frequency samples are computed independently, so refining the grid
     # cannot move existing values; resolution is judged by how well the
     # coarse sampling interpolates the newly exposed midpoints
@@ -393,11 +370,11 @@ def quadrature_refine(config, radial_levels=None):
     # is capped at the order it evaluates, so the work cap measures the work done
     grid = replace(config.grid, omega_points=2 * n - 1, radial_points=order)
     fine = _bare_amplitude(replace(config, grid=grid), order)
-    interpolated = 0.5 * (prev.values[:-1] + prev.values[1:])
+    interpolated = 0.5 * (kernel.values[:-1] + kernel.values[1:])
     omega_change = float(
         np.max(np.abs(interpolated - fine.values[1::2])) / np.max(np.abs(fine.values))
     )
-    return ConvergenceReport([(start, radial_change)], [(n, omega_change)])
+    return ConvergenceReport((start, radial_change), (n, omega_change))
 
 
 def bandwidth_fwhm_nm(amplitude):

@@ -234,7 +234,7 @@ def test_criterion_9_property_suite(default_config, default_kernel, fig3a_stages
         np.max(np.abs(tr_small.rate - direct)) < 1e-9 * direct.max()
     )
 
-    report = quadrature_refine(default_config)
+    report = quadrature_refine(default_config, default_kernel)
     results["quadrature-refinement"] = report.passed
 
     residual = abs(delta_kz(CENTER, 0.0,

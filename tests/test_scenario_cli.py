@@ -440,10 +440,9 @@ def test_reproduce_fig3_evaluates_each_radial_order_once(tmp_path, monkeypatch):
     monkeypatch.setattr(spdc, "_bare_amplitude", counted)
     reproduce_fig3(tmp_path / "fig3", grid_scale=0.5, refine_check=True)
     n = load_scenario("fig3a").grid.scaled(0.5).omega_points
-    orders = [pts for omega, pts in calls if omega == n]
-    assert len(orders) == len(set(orders)) >= 2
-    # the refinement adds only its (2n - 1)-point grid, at the kernel's order
-    assert calls == [(n, pts) for pts in orders] + [(2 * n - 1, orders[-1])]
+    # the kernel's ladder passes at 8 -> 16; the refinement takes that pair
+    # from the kernel and adds only its (2n - 1)-point grid at order 16
+    assert calls == [(n, 8), (n, 16), (2 * n - 1, 16)]
 
 
 def test_cli_reproduce_fig3_failing_build_leaves_no_out(tmp_path):

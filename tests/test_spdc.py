@@ -154,35 +154,44 @@ def test_coarse_radial_grid_raises_convergence_error(poling_period):
     assert isinstance(err.value.estimate, SpectralAmplitude)
 
 
-def test_refinement_ladder_on_default_resolution(default_config):
-    report = quadrature_refine(default_config)
+def record_evaluations(monkeypatch):
+    """Every fixed-order kernel evaluation from now on, in call order, as
+    ((omega_points, radial_points), result)."""
+    calls = []
+
+    def counted(config, radial_points):
+        result = _bare_amplitude(config, radial_points)
+        calls.append(((config.grid.omega_points, radial_points), result))
+        return result
+
+    monkeypatch.setattr(spdc, "_bare_amplitude", counted)
+    return calls
+
+
+def test_refinement_ladder_on_default_resolution(default_config, default_kernel):
+    report = quadrature_refine(default_config, default_kernel)
     assert report.passed
-    assert report.radial_steps[-1][1] < 1e-3
-    assert report.omega_steps[-1][1] < 1e-3
+    assert report.radial_step[1] < 1e-3
+    assert report.omega_step[1] < 1e-3
 
 
 def test_refinement_reuses_levels_the_kernel_computed(poling_period, monkeypatch):
     cfg = small_config(poling_period)
-    levels = {}
-    kernel_amplitude(cfg, levels)
-    assert sorted(levels) == [8, 16]
-    expected = quadrature_refine(cfg).lines()
-    orders = []
-
-    def counted(config, radial_points):
-        orders.append((config.grid.omega_points, radial_points))
-        return _bare_amplitude(config, radial_points)
-
-    monkeypatch.setattr(spdc, "_bare_amplitude", counted)
-    assert quadrature_refine(cfg, radial_levels=levels).lines() == expected
+    calls = record_evaluations(monkeypatch)
+    kernel = kernel_amplitude(cfg)
+    assert [order for order, _ in calls] == [(256, 8), (256, 16)]
+    assert kernel.radial_step == (8, spdc._relative_change(calls[0][1], calls[1][1]))
+    report = quadrature_refine(cfg, kernel)
     # the radial doubling is the kernel's passing pair (8 -> 16), so only
     # the frequency refinement, at the kernel's returned order 16, is new
-    assert orders == [(511, 16)]
+    assert [order for order, _ in calls[2:]] == [(511, 16)]
+    assert report.radial_step == kernel.radial_step
+    assert report.lines()[0] == f"radial      8 -> 16     max-change {kernel.radial_step[1]:.3e}"
 
 
-def test_refinement_without_levels_starts_at_the_kernel_order(default_config):
-    report = quadrature_refine(default_config)
-    assert [pts for pts, _ in report.radial_steps] == [8]
+def test_refinement_without_levels_starts_at_the_kernel_order(default_config, default_kernel):
+    report = quadrature_refine(default_config, default_kernel)
+    assert report.radial_step[0] == 8
 
 
 def test_refinement_near_the_work_cap_is_capped_at_the_order_it_evaluates(poling_period):
@@ -193,26 +202,25 @@ def test_refinement_near_the_work_cap_is_capped_at_the_order_it_evaluates(poling
     omega = spdc.MAX_GRID_SAMPLES // radial - 1
     cfg = small_config(poling_period, radial=radial, omega=omega)
     assert (2 * omega - 1) * radial > spdc.MAX_GRID_SAMPLES
-    levels = {}
-    kernel_amplitude(cfg, levels)
-    report = quadrature_refine(cfg, radial_levels=levels)
+    report = quadrature_refine(cfg, kernel_amplitude(cfg))
     assert report.passed
     assert report.lines()[0].startswith("radial      8 -> 16")
 
 
-def test_kernel_order_doubles_from_8_to_the_first_passing_pair(poling_period):
+def test_kernel_order_doubles_from_8_to_the_first_passing_pair(poling_period, monkeypatch):
     cfg = small_config(poling_period, radial=64, omega=256, half_span=0.25)
     cfg = replace(cfg, uc_crystal=replace(cfg.uc_crystal, length_mm=20.0))
-    levels = {}
-    result = kernel_amplitude(cfg, levels)
-    orders = sorted(levels)
+    calls = record_evaluations(monkeypatch)
+    result = kernel_amplitude(cfg)
+    orders = [pts for (_, pts), _ in calls]
     assert orders == [8 * 2 ** i for i in range(len(orders))] and len(orders) > 2
     changes = [
-        spdc._relative_change(levels[a], levels[b]) for a, b in zip(orders, orders[1:])
+        spdc._relative_change(a, b) for (_, a), (_, b) in zip(calls, calls[1:])
     ]
     assert all(c > spdc.QUADRATURE_RTOL for c in changes[:-1])
     assert changes[-1] <= spdc.QUADRATURE_RTOL
-    assert result is levels[orders[-1]]
+    assert result is calls[-1][1]
+    assert result.radial_step == (orders[-2], changes[-1])
     reference = _bare_amplitude(cfg, 1024).values
     peak = np.max(np.abs(reference))
     assert np.max(np.abs(result.values - reference)) <= 1e-10 * peak
@@ -224,23 +232,26 @@ def test_kernel_matches_high_order_rule_on_default_grid(default_config, default_
     assert np.max(np.abs(default_kernel.values - reference)) <= 1e-10 * peak
 
 
-def test_kernel_order_cap_raises_with_estimate_at_twice_the_cap(poling_period):
+def test_kernel_order_cap_raises_with_estimate_at_twice_the_cap(poling_period, monkeypatch):
     cfg = small_config(poling_period, radial=4, omega=512, half_span=0.55)
-    levels = {}
+    calls = record_evaluations(monkeypatch)
     with pytest.raises(ConvergenceError, match=r"\(4 -> 8 points\)") as err:
-        kernel_amplitude(cfg, levels)
-    assert sorted(levels) == [4, 8]
+        kernel_amplitude(cfg)
+    assert [pts for (_, pts), _ in calls] == [4, 8]
+    assert err.value.estimate is calls[-1][1]
     np.testing.assert_array_equal(err.value.estimate.values, _bare_amplitude(cfg, 8).values)
 
 
-def test_kernel_cap_off_the_doubling_ladder_is_the_last_coarse_order(poling_period):
+def test_kernel_cap_off_the_doubling_ladder_is_the_last_coarse_order(poling_period, monkeypatch):
     # this kernel fails the gate at 8 -> 16 and passes at 16 -> 32 (above)
     cfg = small_config(poling_period, radial=12, omega=256, half_span=0.25)
     cfg = replace(cfg, uc_crystal=replace(cfg.uc_crystal, length_mm=20.0))
-    levels = {}
-    result = kernel_amplitude(cfg, levels)
-    assert sorted(levels) == [8, 12, 16, 24]
-    assert result is levels[24]
+    calls = record_evaluations(monkeypatch)
+    result = kernel_amplitude(cfg)
+    # each order is evaluated once; the cap 12 replaces 16 as the coarse order
+    assert [pts for (_, pts), _ in calls] == [8, 16, 12, 24]
+    assert result is calls[-1][1]
+    assert result.radial_step == (12, spdc._relative_change(calls[2][1], result))
 
 
 def test_gauss_rule_is_computed_once_and_read_only():
