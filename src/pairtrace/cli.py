@@ -17,7 +17,7 @@ import click
 from . import __version__, delayscan, scenario as scenario_mod
 from .dispersionopt import write_optimization
 from .errors import PairtraceError, ValidationError
-from .materials import get_material, group_delay_dispersion
+from .materials import get_material, group_delay_dispersion, index_is_finite
 from .phasematch import CrystalSpec, solve_phasematch_temperature, solve_poling_period
 from .units import omega_from_wavelength_nm
 
@@ -48,6 +48,17 @@ _FINITE_FLOAT = _FiniteFloat()
 _log = functools.partial(click.echo, err=True)   # run logs go to stderr
 
 
+def _check_temperature(material, temperature_c, *wavelengths_nm):
+    """The index must be finite at --temperature-c at each wavelength the
+    command evaluates."""
+    for lam in wavelengths_nm:
+        if not index_is_finite(material, lam, temperature_c):
+            raise ValidationError(
+                f"--temperature-c {temperature_c:.4g}: index of {material.name!r} "
+                f"is not finite at {lam:.6g} nm"
+            )
+
+
 def _emit(lines, out_dir, filename):
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
@@ -73,7 +84,10 @@ def main():
 def material_gdd(name, thickness_mm, wavelength_nm, temperature_c, out_dir):
     """Group delay dispersion of a slab, in fs^2."""
     material = get_material(name)
+    _check_temperature(material, temperature_c, wavelength_nm)
     value = group_delay_dispersion(material, thickness_mm, wavelength_nm, temperature_c)
+    if not math.isfinite(value):
+        raise ValidationError(f"--thickness-mm {thickness_mm:.4g} gives a non-finite GDD")
     _emit(
         [
             f"material={name}",
@@ -100,6 +114,7 @@ def qpm_solve(pump_nm, temperature_c, name, length_mm, bracket_um, out_dir):
     material = get_material(name)
     if pump_nm <= 0:
         raise ValidationError(f"--pump-nm must be > 0, got {pump_nm:g}")
+    _check_temperature(material, temperature_c, pump_nm, 2.0 * pump_nm)
     pump_omega = omega_from_wavelength_nm(pump_nm)
     period = solve_poling_period(material, pump_omega, temperature_c, tuple(bracket_um))
     crystal = CrystalSpec(material, length_mm, period, temperature_c)

@@ -198,6 +198,8 @@ def knob_objective(amplitude, base_chain, knob):
     else:
         phi0 = with_knob(base_chain, knob, 0.0).phase(grid, center)
         direction = with_knob(base_chain, knob, 1.0).phase(grid, center) - phi0
+    if not (np.all(np.isfinite(phi0)) and np.all(np.isfinite(direction))):
+        raise ValidationError("spectral phases must be finite")
     m = (grid.size + 1) // 2
     lo0, lod = phi0[:m], direction[:m]
     hi0, hid = phi0[::-1][:m].copy(), direction[::-1][:m].copy()

@@ -28,7 +28,7 @@ from .dispersionopt import (
     solve_compensating_insertion,
     with_knob,
 )
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .materials import (
     MaterialModel,
     Section,
@@ -618,6 +618,6 @@ def reproduce_fig3(out_dir, grid_scale=1.0, refine_check=False, log=None):
             fh.write("shared kernel for all ladder cases\n")
             fh.write("\n".join(report.lines()) + "\n")
         if not report.passed:
-            raise ValidationError("quadrature refinement exceeded its threshold")
+            raise ConvergenceError("quadrature refinement exceeded its threshold")
 
     return {"rows": rows, "flags": flags, "optimization": optimization}

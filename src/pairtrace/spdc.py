@@ -116,6 +116,12 @@ class GridSpec:
         """Grid with both sample counts scaled by a factor (for overrides)."""
         if not 0.0 < factor < float("inf"):
             raise ValidationError(f"grid scale must be finite and > 0, got {factor!r}")
+        # either count alone above the cap puts the grid over it; checked
+        # before rounding, which an infinite count would overflow
+        if max(self.omega_points, self.radial_points) * factor > MAX_GRID_SAMPLES:
+            raise ValidationError(
+                f"grid scale {factor:.4g} exceeds the work cap of {MAX_GRID_SAMPLES} samples"
+            )
         return replace(
             self,
             omega_points=max(16, int(round(self.omega_points * factor))),

@@ -8,8 +8,13 @@ at grid scale 0.25. It must exit 0, 2, 3 or 4. A failing run ends with its
 only `error:` line and no traceback; when the file itself is rejected, that
 line is the parser's error and cites `file:line`. No token builds a large
 grid: a grid key's huge value is over the work cap and rejected as read.
-There are 330 (value, token) pairs; max_examples is above that, and the
+There are 363 (value, token) pairs; max_examples is above that, and the
 derandomized search stops once it has drawn every pair.
+
+The command line options get the same treatment: each numeric option of
+`material-gdd`, `qpm-solve`, `trace`, `optimize` and `reproduce-fig3` is
+set to each token in turn, every pair run in process. A run that exits 0
+must also print no `nan` or `inf`.
 """
 
 import re
@@ -21,7 +26,19 @@ from pairtrace import ValidationError
 from pairtrace.cli import main
 from pairtrace.scenario import parse_scenario_text, scenario_path
 
-TOKENS = ("0", "-1", "-532", "1e-300", "1e-6", "1e300", "nan", "inf", "abc", "")
+TOKENS = ("0", "-1", "-532", "1e-300", "1e-6", "1e300", "1e306", "nan", "inf", "abc", "")
+
+# every command with every numeric option at a valid value; the scenario
+# commands run at grid scale 0.25, their only numeric option
+COMMANDS = (
+    ("material-gdd", "--material", "mgln_e", "--thickness-mm", "5",
+     "--wavelength-nm", "1064", "--temperature-c", "20"),
+    ("qpm-solve", "--pump-nm", "532", "--temperature-c", "50", "--length-mm", "5",
+     "--bracket-um", "3", "40"),
+    ("trace", "--scenario", "fig3a", "--grid-scale", "0.25"),
+    ("optimize", "--scenario", "fig3a", "--grid-scale", "0.25"),
+    ("reproduce-fig3", "--grid-scale", "0.25"),
+)
 
 
 def sites():
@@ -77,3 +94,36 @@ def test_mutated_scenarios_run_or_fail_with_one_error_line(tmp_path):
             assert re.match(rf"{re.escape(str(scn))}:\d+: ", str(exc))
 
     check()
+
+
+def numeric_options():
+    """(command, index of a numeric value) of every numeric option."""
+    out = []
+    for command in COMMANDS:
+        for index, arg in enumerate(command):
+            try:
+                float(arg)
+            except ValueError:
+                continue
+            out.append((command, index))
+    return out
+
+
+@pytest.mark.parametrize("token", TOKENS + ("1e130",))
+def test_mutated_cli_options_run_or_fail_with_one_error_line(tmp_path, token):
+    runner = CliRunner()
+    for command, index in numeric_options():
+        args = list(command)
+        args[index] = token
+        args += ["--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        where = (args[index - 1], token, result.output)
+        assert result.exit_code in (0, 2, 3, 4), where
+        assert "Traceback" not in result.output, where
+        lines = result.output.splitlines()
+        if result.exit_code == 0:
+            assert not re.search(r"\b(nan|inf)\b", result.output), where
+        else:
+            # click's own usage errors begin "Error:"
+            errors = [line for line in lines if line.lower().startswith("error:")]
+            assert errors == lines[-1:], where

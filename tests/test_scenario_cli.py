@@ -445,6 +445,22 @@ def test_reproduce_fig3_evaluates_each_radial_order_once(tmp_path, monkeypatch):
     assert calls == [(n, 8), (n, 16), (2 * n - 1, 16)]
 
 
+def test_cli_failed_refinement_exits_3_and_keeps_its_report(tmp_path):
+    # at this scale the kernel converges radially, but the frequency
+    # doubling changes it by more than the threshold
+    out = tmp_path / "fig3"
+    result = CliRunner().invoke(
+        main, ["reproduce-fig3", "--refine-check", "--grid-scale", "0.3", "--out", str(out)]
+    )
+    assert result.exit_code == 3
+    lines = result.output.splitlines()
+    assert lines[-1] == "error: quadrature refinement exceeded its threshold"
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    report = (out / "convergence.txt").read_text().splitlines()
+    assert report[2].startswith("omega     614 -> 1227 ")
+    assert report[-1].endswith("passed False")
+
+
 def test_cli_reproduce_fig3_failing_build_leaves_no_out(tmp_path):
     out = tmp_path / "X"
     result = CliRunner().invoke(
@@ -550,17 +566,36 @@ def test_spdc_vmask_scenario_writes_signal_reference(tmp_path):
         (["qpm-solve", "--pump-nm", "-532"], "--pump-nm must be > 0"),
         (["material-gdd", "--material", "fused_silica", "--thickness-mm", "-1"],
          "slab thickness must be >= 0"),
+        (["qpm-solve", "--temperature-c", "1e130"], "--temperature-c 1e+130: index of"),
+        (["qpm-solve", "--temperature-c", "1e300"], "--temperature-c 1e+300: index of"),
+        (["material-gdd", "--material", "mgln_e", "--thickness-mm", "1",
+          "--temperature-c", "1e130"], "--temperature-c 1e+130: index of"),
+        (["material-gdd", "--material", "mgln_e", "--thickness-mm", "1",
+          "--temperature-c", "1e300"], "--temperature-c 1e+300: index of"),
+        (["material-gdd", "--material", "mgln_e", "--thickness-mm", "1e306"],
+         "--thickness-mm 1e+306 gives a non-finite GDD"),
+        (["trace", "--scenario", "fig3a", "--grid-scale", "1e306"], "exceeds the work cap"),
+        (["trace", "--scenario", "fig3a", "--grid-scale", "1e300"], "exceeds the work cap"),
+        (["optimize", "--scenario", "fig3a", "--grid-scale", "1e306"], "exceeds the work cap"),
+        (["optimize", "--scenario", "fig3a", "--grid-scale", "1e300"], "exceeds the work cap"),
+        (["reproduce-fig3", "--grid-scale", "1e306"], "exceeds the work cap"),
+        (["reproduce-fig3", "--grid-scale", "1e300"], "exceeds the work cap"),
     ],
     ids=["fig3a_nan", "gauss_zero", "gauss_negative", "gauss_nan", "gauss_inf",
          "material_gdd_nan", "qpm_solve_inf", "qpm_solve_pump_zero",
-         "qpm_solve_pump_negative", "material_gdd_negative_thickness"],
+         "qpm_solve_pump_negative", "material_gdd_negative_thickness",
+         "qpm_solve_temperature_overflow", "qpm_solve_temperature_huge",
+         "material_gdd_temperature_overflow", "material_gdd_temperature_huge",
+         "material_gdd_gdd_overflow", "trace_scale_overflow", "trace_scale_huge",
+         "optimize_scale_overflow", "optimize_scale_huge", "fig3_scale_overflow",
+         "fig3_scale_huge"],
 )
 def test_cli_bad_option_value_exits_2_before_any_work(tmp_path, args, words):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, args + ["--out", str(out)])
     assert result.exit_code == 2
     errors = [l for l in result.output.splitlines() if l.lower().startswith("error:")]
-    assert len(errors) == 1 and words in errors[0]
+    assert len(errors) == 1 and words in errors[0] and len(errors[0]) < 200
     assert "Traceback" not in result.output
     assert not out.exists()
 
