@@ -366,12 +366,11 @@ def quadrature_refine(config, kernel):
     the max relative change against the doubled evaluation, measured
     against the finer peak.
     """
-    start, radial_change = kernel.radial_step
     # frequency samples are computed independently, so refining the grid
     # cannot move existing values; resolution is judged by how well the
     # coarse sampling interpolates the newly exposed midpoints
     n = config.grid.omega_points
-    order = 2 * start
+    order = 2 * kernel.radial_step[0]
     # half spacing, same span: the old samples are a subset; the refined grid
     # is capped at the order it evaluates, so the work cap measures the work done
     grid = replace(config.grid, omega_points=2 * n - 1, radial_points=order)
@@ -380,7 +379,7 @@ def quadrature_refine(config, kernel):
     omega_change = float(
         np.max(np.abs(interpolated - fine.values[1::2])) / np.max(np.abs(fine.values))
     )
-    return ConvergenceReport((start, radial_change), (n, omega_change))
+    return ConvergenceReport(kernel.radial_step, (n, omega_change))
 
 
 def bandwidth_fwhm_nm(amplitude):
